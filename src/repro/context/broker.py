@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.context.entities import Attribute, ContextEntity
 from repro.context.errors import AlreadyExistsError, ContextError, NotFoundError, QueryError
-from repro.context.query import AttrFilter, Query, apply_op, parse_filter_expression
+from repro.context.query import AttrFilter, Query
 from repro.context.subscriptions import Notification, Subscription, SubscriptionIndex
 from repro.resilience.backpressure import BackpressureError, DropPolicy
 from repro.simkernel.simulator import Simulator
@@ -29,15 +29,6 @@ __all__ = [
     "Query",
     "QueryError",
 ]
-
-# Back-compat shims for the pre-typed-query private helpers.
-_apply_op = apply_op
-
-
-def _parse_filter(expression: str):
-    parsed = parse_filter_expression(expression)
-    return parsed.attr, parsed.op, parsed.value
-
 
 def _coerce_filters(filters: Optional[List[Union[str, AttrFilter]]]) -> List[AttrFilter]:
     """Validate a filter list: typed :class:`AttrFilter` objects only.

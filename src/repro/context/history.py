@@ -5,9 +5,7 @@ hook and records every numeric attribute change as a (time, value) sample.
 All query shapes STH exposes — raw range, last-N, bucketed rollups and
 min/max/mean/sum/count aggregates — are served through **one typed read
 API**: build a :class:`HistoryQuery`, call :meth:`ShortTermHistory.read`,
-get a :class:`HistoryResult` back.  The legacy per-shape methods
-(``series``/``last_n``/``range``/``aggregate``/``rollup``/``downsample``)
-remain as warn-once deprecation shims for one cycle.
+get a :class:`HistoryResult` back.
 
 Series are bounded per (entity, attribute) to keep multi-season runs in
 memory; eviction drops the oldest samples.
@@ -26,6 +24,16 @@ timestamp selects, not the newest one).  Rollups are off by default to
 keep the telemetry hot path bare; the north-facing service layer enables
 them when it attaches.
 
+**One fold.**  Every count/min/max/sum in the history tier comes from
+:func:`fold`: ingest rollup buckets, memory and columnar rollup reads,
+both aggregate paths (an aggregate is a one-bucket rollup) and the
+columnar zone maps.  It folds sample by sample in append order, so a
+``sum`` is the same left fold wherever it is computed, and memory and
+columnar answers are bit-identical on every interpreter (builtin
+``sum()`` is compensated from Python 3.12 on, a left fold before).
+:func:`rollup_rows` and :func:`window_stats` turn folded buckets into
+the rows and stats a :class:`HistoryResult` carries.
+
 **Read sources.**  ``read(query)`` defaults to ``source="auto"``: the
 bounded in-memory rings/buckets answer unless a columnar backend has
 been bound (:meth:`ShortTermHistory.bind_columnar`, done by the store's
@@ -35,7 +43,6 @@ memory, and reach beyond the ring eviction horizon.  ``source="memory"``
 or ``"columnar"`` forces a path.
 """
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -50,25 +57,56 @@ Sample = Tuple[float, float]
 MINUTE_S = 60.0
 HOUR_S = 3600.0
 
-#: count/min/max/sum live in one 4-slot bucket list; mean = sum/count.
+#: The first four are also the slots of a :func:`fold` bucket, in this
+#: order; mean = sum/count.
 ROLLUP_METHODS = ("count", "min", "max", "sum", "mean")
 
 #: Query kinds a :class:`HistoryQuery` can resolve to.
 QUERY_KINDS = ("raw", "lastn", "rollup", "aggregate")
 
-# Names that already emitted their deprecation warning this process.
-_DEPRECATION_WARNED = set()
+
+def fold(buckets: Dict[int, List[float]], index: int, v: float) -> bool:
+    """Fold ``v`` into ``buckets[index]``, a ``[count, min, max, sum]``
+    list; True when this sample created the bucket."""
+    bucket = buckets.get(index)
+    if bucket is None:
+        buckets[index] = [1.0, v, v, v]
+        return True
+    bucket[0] += 1.0
+    if v < bucket[1]:
+        bucket[1] = v
+    if v > bucket[2]:
+        bucket[2] = v
+    bucket[3] += v
+    return False
 
 
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def rollup_rows(buckets: Dict[int, List[float]], query: "HistoryQuery") -> List[Sample]:
+    """``(bucket start, value)`` rows, oldest first, for every bucket whose
+    start falls in ``[query.since, query.until]``."""
+    period_s = query.period_s
+    method = query.effective_method
+    slot = None if method == "mean" else ROLLUP_METHODS.index(method)
+    rows: List[Sample] = []
+    for index in sorted(buckets):
+        start = index * period_s
+        if query.since <= start <= query.until:
+            bucket = buckets[index]
+            rows.append((start, bucket[3] / bucket[0] if slot is None else bucket[slot]))
+    return rows
+
+
+def window_stats(samples, since: float, until: float) -> Optional[Dict[str, float]]:
+    """Aggregate summary of the ``(t, v)`` samples with ``since <= t <=
+    until`` (a one-bucket fold); None when none match."""
+    acc: Dict[int, List[float]] = {}
+    for t, v in samples:
+        if since <= t <= until:
+            fold(acc, 0, v)
+    if not acc:
+        return None
+    count, vmin, vmax, vsum = acc[0]
+    return {"count": count, "min": vmin, "max": vmax, "sum": vsum, "mean": vsum / count}
 
 
 @dataclass(frozen=True)
@@ -201,11 +239,6 @@ class ShortTermHistory:
         :class:`~repro.store.durable.DurabilityService`)."""
         self._sink = sink
 
-    def attach_store(self, store) -> None:
-        """Deprecated alias of :meth:`set_sink`."""
-        _warn_deprecated("ShortTermHistory.attach_store", "set_sink")
-        self.set_sink(store)
-
     def bind_columnar(self, reader) -> None:
         """Route ``source="auto"`` reads through ``reader`` (anything
         with a ``read(HistoryQuery) -> HistoryResult`` method — in
@@ -257,38 +290,25 @@ class ShortTermHistory:
                 raise QueryError(f"rollup period must be positive, got {period!r}")
             if period in self._rollups:
                 continue
-            self._rollups[period] = {}
+            backfill = {period: {}}
             for key, series in self._series.items():
                 for t, v in series:
-                    self._fold_one(period, key, t, v)
+                    self._fold(key, t, v, backfill)
+            self._rollups.update(backfill)
 
-    def _fold(self, key: Tuple[str, str], t: float, v: float) -> None:
-        for period in self._rollups:
-            self._fold_one(period, key, t, v)
-
-    def _fold_one(self, period: float, key: Tuple[str, str], t: float, v: float) -> None:
-        buckets = self._rollups[period].get(key)
-        if buckets is None:
-            buckets = self._rollups[period][key] = {}
-        index = int(t // period)
-        bucket = buckets.get(index)
-        if bucket is None:
-            if len(buckets) >= self.max_buckets_per_series:
-                oldest = min(buckets)
-                if index < oldest:
-                    # A sample older than the retention horizon would be
-                    # evicted immediately; dropping it keeps eviction
-                    # order-independent for late stragglers.
-                    return
-                del buckets[oldest]
-            buckets[index] = [1.0, v, v, v]
-            return
-        bucket[0] += 1.0
-        if v < bucket[1]:
-            bucket[1] = v
-        if v > bucket[2]:
-            bucket[2] = v
-        bucket[3] += v
+    def _fold(self, key: Tuple[str, str], t: float, v: float, rollups=None) -> None:
+        """Fold one sample into its bucket of every enabled period (or of
+        every period in ``rollups``)."""
+        cap = self.max_buckets_per_series
+        for period, by_series in (rollups or self._rollups).items():
+            buckets = by_series.get(key)
+            if buckets is None:
+                buckets = by_series[key] = {}
+            if fold(buckets, int(t // period), v) and len(buckets) > cap:
+                # Evict the oldest bucket.  A straggler older than the
+                # retention horizon opened it and is dropped again, which
+                # keeps eviction order-independent for late samples.
+                del buckets[min(buckets)]
 
     # -- the unified read API ------------------------------------------------
 
@@ -331,21 +351,12 @@ class ShortTermHistory:
             rows = list(series)[-query.last_n:] if series else []
             return HistoryResult(query, kind, "memory", rows=rows,
                                  scanned_samples=scanned)
-        rows = [s for s in series if query.since <= s[0] <= query.until]
         if kind == "raw":
+            rows = [s for s in series if query.since <= s[0] <= query.until]
             return HistoryResult(query, kind, "memory", rows=rows,
                                  scanned_samples=scanned)
-        stats = None
-        if rows:
-            values = [v for _t, v in rows]
-            stats = {
-                "count": float(len(values)),
-                "min": min(values),
-                "max": max(values),
-                "sum": sum(values),
-                "mean": sum(values) / len(values),
-            }
-        return HistoryResult(query, kind, "memory", stats=stats,
+        return HistoryResult(query, kind, "memory",
+                             stats=window_stats(series, query.since, query.until),
                              scanned_samples=scanned)
 
     def _memory_rollup(self, query: HistoryQuery) -> HistoryResult:
@@ -356,96 +367,9 @@ class ShortTermHistory:
                 f"rollup period {period_s!r} not enabled; "
                 f"enabled: {sorted(self._rollups)}"
             )
-        buckets = by_series.get((query.entity_id, query.attr))
-        result = HistoryResult(query, "rollup", "memory")
-        if not buckets:
-            return result
-        method = query.effective_method
-        result.scanned_blocks = len(buckets)
-        for index in sorted(buckets):
-            start = index * period_s
-            if start < query.since or start > query.until:
-                continue
-            count, vmin, vmax, vsum = buckets[index]
-            if method == "count":
-                value = count
-            elif method == "min":
-                value = vmin
-            elif method == "max":
-                value = vmax
-            elif method == "sum":
-                value = vsum
-            else:
-                value = vsum / count
-            result.rows.append((start, value))
-        return result
-
-    # -- deprecated per-shape read methods -----------------------------------
-
-    def rollup(
-        self,
-        entity_id: str,
-        attr: str,
-        period_s: float,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-        method: str = "mean",
-    ) -> List[Tuple[float, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.rollup", "read(HistoryQuery(period_s=...))")
-        query = HistoryQuery(entity_id, attr, since=since, until=until,
-                             period_s=period_s, method=method)
-        return self.read(query, source="memory").rows
-
-    def downsample(
-        self,
-        entity_id: str,
-        attr: str,
-        period_s: float,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> List[Tuple[float, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated(
-            "ShortTermHistory.downsample",
-            "read(HistoryQuery(period_s=..., method='mean'))",
-        )
-        query = HistoryQuery(entity_id, attr, since=since, until=until,
-                             period_s=period_s, method="mean")
-        return self.read(query, source="memory").rows
-
-    def series(self, entity_id: str, attr: str) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.series", "read(HistoryQuery(...))")
-        return self.read(HistoryQuery(entity_id, attr), source="memory").rows
-
-    def last_n(self, entity_id: str, attr: str, n: int) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.last_n", "read(HistoryQuery(last_n=...))")
-        query = HistoryQuery(entity_id, attr, last_n=n)
-        return self.read(query, source="memory").rows
-
-    def range(
-        self, entity_id: str, attr: str, since: float = float("-inf"), until: float = float("inf")
-    ) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.range", "read(HistoryQuery(since=..., until=...))")
-        query = HistoryQuery(entity_id, attr, since=since, until=until)
-        return self.read(query, source="memory").rows
-
-    def aggregate(
-        self,
-        entity_id: str,
-        attr: str,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Optional[Dict[str, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated(
-            "ShortTermHistory.aggregate", "read(HistoryQuery(aggregate=True))"
-        )
-        query = HistoryQuery(entity_id, attr, since=since, until=until, aggregate=True)
-        return self.read(query, source="memory").stats
+        buckets = by_series.get((query.entity_id, query.attr), {})
+        return HistoryResult(query, "rollup", "memory", rows=rollup_rows(buckets, query),
+                             scanned_blocks=len(buckets))
 
     def tracked_series(self) -> List[Tuple[str, str]]:
         return sorted(self._series)

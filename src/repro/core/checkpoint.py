@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional
 from repro.core.pilot import PilotConfig, PilotRunner
 from repro.simkernel.errors import ReproError
 from repro.simkernel.snapshot import KernelSnapshot, compare_fingerprints
-from repro.store.segment import SEALED_MAGIC, CorruptBlobError, read_sealed, write_sealed
+from repro.store.segment import CorruptBlobError, read_sealed, write_sealed
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -156,24 +156,18 @@ def save_checkpoint(checkpoint: RunCheckpoint, path: str) -> None:
 def load_checkpoint(path: str) -> RunCheckpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Sealed blobs are checksum-verified: a file torn mid-write is rejected
-    loudly (:class:`CheckpointError`), never unpickled.  Pre-seal files
-    (raw pickle, no :data:`SEALED_MAGIC`) still load for back-compat.
+    The blob is checksum-verified first: a file that is empty, torn
+    mid-write, bit-flipped or not a sealed blob at all is rejected loudly
+    (:class:`CheckpointError`), never unpickled.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(len(SEALED_MAGIC))
-    if head == SEALED_MAGIC:
-        try:
-            payload = read_sealed(path)
-        except CorruptBlobError as exc:
-            raise CheckpointError(
-                f"checkpoint {path!r} is torn or corrupt; refusing to "
-                f"restore from it ({exc})"
-            ) from exc
-        checkpoint = pickle.loads(payload)
-    else:
-        with open(path, "rb") as fh:
-            checkpoint = pickle.load(fh)
+    try:
+        payload = read_sealed(path)
+    except CorruptBlobError as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} is torn or corrupt; refusing to "
+            f"restore from it ({exc})"
+        ) from exc
+    checkpoint = pickle.loads(payload)
     if not isinstance(checkpoint, RunCheckpoint):
         raise CheckpointError(f"{path!r} does not contain a RunCheckpoint")
     if checkpoint.version != CHECKPOINT_VERSION:

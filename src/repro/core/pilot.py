@@ -65,14 +65,6 @@ class PilotConfig:
     fixed_depth_mm: float = 25.0
     probe_coverage: float = 1.0
     probe_interval_s: float = 1800.0
-    # Batched sampling: devices enroll in a per-farm SweepScheduler — one
-    # kernel event per (farm, report-interval) tick samples the whole
-    # group — instead of one firmware-loop process (and one timer event
-    # per report) per device.  Tier-B schedule change: the group draws a
-    # single start phase from the `sweep:<farm>` stream where legacy mode
-    # phase-shifts each device from its own stream, so event timestamps
-    # differ; pinned fixtures were re-pinned when this became the default.
-    batched_sampling: bool = True
     valve_rate_mm_h: float = 8.0
     pivot_rate_mm_h: float = 10.0
     pump_head_m: float = 45.0

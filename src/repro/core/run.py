@@ -4,9 +4,9 @@ Four PRs of organic growth left three overlapping ways to start a run —
 ``run_pilot(config)``, the ``build_*_pilot`` factories and the CLI's own
 argument plumbing, plus ``run_chaos`` with its separate signature.  This
 module consolidates them: :class:`RunOptions` carries every knob (pilot,
-seed, days, security, faults, resilience, tracing, profiling, metrics)
-and :func:`run` interprets it, so the CLI, notebooks and tests all drive
-the same code path.
+seed, days, security, faults, resilience, tracing, profiling, store,
+service) and :func:`run` interprets it, so the CLI, notebooks and tests
+all drive the same code path.
 
 Bit-identity contract: ``run(RunOptions(config=cfg))`` builds exactly
 ``PilotRunner(cfg)`` — no option is folded into an explicit config
@@ -85,15 +85,11 @@ class RunOptions:
     faults: Union[FaultPlan, str, None] = None
     # ResilienceConfig, True (defaults), or None/False (off).
     resilience: Union[ResilienceConfig, bool, None] = None
-    metrics: bool = True
-    metrics_path: Optional[str] = None
     # Tracing: ``trace=True`` (or a trace_path) enables span collection;
     # the exported Chrome-trace JSON is written to ``trace_path``.
     trace: bool = False
     trace_path: Optional[str] = None
     trace_sample_rate: float = 1.0
-    trace_max_spans: int = 200_000
-    trace_log_sample_rate: float = 1.0
     # Kernel profiling (top-K hottest event keys; ``profile.*`` metrics).
     profile: bool = False
     profile_top: int = 10
@@ -103,7 +99,6 @@ class RunOptions:
     pilot_kwargs: Dict[str, Any] = dataclass_field(default_factory=dict)
     # Chaos mode (see repro.faults.chaos).
     chaos: bool = False
-    chaos_supervised: bool = True
     # Checkpoint/restore (see repro.core.checkpoint).  ``checkpoint``
     # writes a restorable checkpoint file during the run (every
     # ``checkpoint_every_s`` sim-seconds, or once at mid-run); ``restore``
@@ -133,11 +128,7 @@ class RunOptions:
     def trace_config(self) -> Optional[TraceConfig]:
         if not (self.trace or self.trace_path):
             return None
-        return TraceConfig(
-            sample_rate=self.trace_sample_rate,
-            max_spans=self.trace_max_spans,
-            log_sample_rate=self.trace_log_sample_rate,
-        )
+        return TraceConfig(sample_rate=self.trace_sample_rate)
 
     def resolved_security(self) -> Optional[SecurityConfig]:
         if isinstance(self.security, str):
@@ -204,7 +195,7 @@ def run(options: RunOptions) -> RunResult:
 
         restored = _checkpoint.restore(options.restore)
         report = _checkpoint.resume(restored)
-        _write_outputs(options, restored.runner)
+        _write_trace(options, restored.runner)
         return RunResult(report=report, runner=restored.runner)
 
     if options.checkpoint is not None and options.chaos:
@@ -218,12 +209,11 @@ def run(options: RunOptions) -> RunResult:
 
         result = _run_chaos(
             options.seed,
-            supervised=options.chaos_supervised,
             plan=options.resolved_faults(),
             tracing=tracing,
             profile=options.profile,
         )
-        _write_outputs(options, result.runner)
+        _write_trace(options, result.runner)
         return RunResult(report=result.report, runner=result.runner, chaos=result)
 
     recipe = None
@@ -318,7 +308,7 @@ def run(options: RunOptions) -> RunResult:
         report = runner.report()
     else:
         report = runner.run_season()
-    _write_outputs(options, runner)
+    _write_trace(options, runner)
     if service is not None and options.serve_responses:
         with open(options.serve_responses, "w", encoding="utf-8") as fh:
             fh.write(service.response_log())
@@ -326,14 +316,8 @@ def run(options: RunOptions) -> RunResult:
     return RunResult(report=report, runner=runner, service=service)
 
 
-def _write_outputs(options: RunOptions, runner) -> None:
-    """Write the metrics snapshot and Chrome-trace export, if requested."""
-    if runner is None:
-        return
-    if options.metrics_path:
-        with open(options.metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(runner.sim.metrics.to_json())
-            fh.write("\n")
+def _write_trace(options: RunOptions, runner) -> None:
+    """Write the Chrome-trace export, if requested."""
     if options.trace_path:
         import json
 

@@ -227,11 +227,9 @@ class DeviceNetworkStage(BuildStage):
         runner.valves = {}
         runner.pivot = None
         runner.drone = None
-        # Batched sampling: one SweepScheduler per farm; devices enroll in
-        # start() instead of spawning a firmware-loop process each.
-        runner.sweep_scheduler = (
-            SweepScheduler(runner.sim, farm) if config.batched_sampling else None
-        )
+        # One SweepScheduler per farm: devices enroll in start(), one
+        # kernel event per (farm, report-interval) tick samples them all.
+        runner.sweep_scheduler = SweepScheduler(runner.sim, farm)
 
         # Shared irrigation plant.
         runner.pump = Pump(

@@ -4,15 +4,14 @@ Devices are the leaves of the SWAMP pipeline: they sample the agro-physics
 substrate (or accept actuation commands that feed back into it) and speak
 MQTT over constrained field radio.  Each device owns
 
-* a firmware loop (simulation process) with a sampling/reporting interval,
+* a sampling/reporting interval, driven by a sweep group (see ``sweep.py``),
 * a battery and per-operation energy accounting (radio TX dominates, which
   is why the paper insists security mechanisms be energy-efficient — E13),
 * failure and tamper hooks used by the dependability and attack layers.
 
-Sampling runs in one of two modes: the classic per-device firmware loop,
-or batched enrollment in a per-farm :class:`SweepScheduler` (one kernel
-event sweeps every device sharing a report interval — see ``sweep.py``),
-which is the pilot default.
+Pilots enroll their devices in a per-farm :class:`SweepScheduler`, where
+one kernel event sweeps every device sharing a report interval; a device
+started without one samples on a :class:`SweepGroup` of its own.
 """
 
 from repro.devices.base import Device, DeviceConfig

@@ -1,10 +1,11 @@
-"""Device base class: firmware loop, energy, failure and tamper hooks."""
+"""Device base class: sweep-driven sampling, energy, failure and tamper hooks."""
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.devices.battery import Battery
 from repro.devices.codec import decode_payload, encode_payload
+from repro.devices.sweep import SweepGroup
 from repro.mqtt.client import MqttClient
 from repro.network.topology import Network
 from repro.simkernel.simulator import Simulator
@@ -35,11 +36,13 @@ class Device:
     Subclasses implement :meth:`read_measures` (returning the attribute
     dict to report) and may override :meth:`on_command`.
 
-    Sampling runs in one of two modes.  Legacy mode spawns a generator
-    process per device (``_firmware_loop``).  When :attr:`sweeper` is set
-    (a :class:`repro.devices.sweep.SweepScheduler`) before :meth:`start`,
-    the device instead enrolls in a per-farm batched sweep group: one
-    kernel event drives every same-interval device on the farm.
+    Sampling always runs on a :class:`~repro.devices.sweep.SweepGroup`.
+    When :attr:`sweeper` is set (a
+    :class:`~repro.devices.sweep.SweepScheduler`) before :meth:`start`,
+    the device enrolls in its farm's group for its report interval: one
+    kernel event drives every same-interval device on the farm.  A
+    device started without one samples on a one-member group phased
+    from its own ``device:<id>`` stream.
     """
 
     def __init__(
@@ -85,25 +88,28 @@ class Device:
         network.add_node(self.client)
         self._rng = sim.rng.stream(f"device:{config.device_id}")
         self.client.add_handler(self.command_topic, self._handle_command)
-        self._process = None
         self._failure_process = None
-        # Batched-sampling wiring: the builder stage sets ``sweeper``
-        # before start() to opt the device into sweep-driven sampling.
+        # The builder stage sets ``sweeper`` before start() to enroll the
+        # device in its farm's shared sweep group.
         self.sweeper = None
         self._sweep_group = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Connect and start sampling (sweep enrollment or firmware loop)."""
+        """Connect and start sampling on the farm's or a one-member sweep group."""
         self.client.connect()
         self.client.subscribe(self.command_topic, qos=1)
         if self.sweeper is not None:
             self._sweep_group = self.sweeper.enroll(self)
         else:
-            self._process = self.sim.spawn(
-                self._firmware_loop(), f"fw:{self.config.device_id}"
+            # A group of its own, phased from the device's own stream, so
+            # a directly built device's report times depend on nothing
+            # else in the run.
+            self._sweep_group = SweepGroup(
+                self.sim, self.config.farm, self.config.report_interval_s, self._rng
             )
+            self._sweep_group.add(self)
         if self.config.mtbf_s > 0:
             self._failure_process = self.sim.spawn(
                 self._failure_loop(), f"fail:{self.config.device_id}"
@@ -112,12 +118,10 @@ class Device:
     def stop(self) -> None:
         """Stop sampling and the failure clock, then disconnect.
 
-        Kills *both* spawned loops: a stopped device must neither report
-        nor keep flipping ``failed`` state from a leaked failure process.
+        Leaves the sweep group *and* kills the failure process: a stopped
+        device must neither report nor keep flipping ``failed`` state
+        from a leaked failure process.
         """
-        if self._process is not None:
-            self._process.kill("stopped")
-            self._process = None
         if self._failure_process is not None:
             self._failure_process.kill("stopped")
             self._failure_process = None
@@ -125,16 +129,6 @@ class Device:
             self._sweep_group.remove(self)
             self._sweep_group = None
         self.client.disconnect()
-
-    def _firmware_loop(self):
-        # Desynchronize device start-up (real fleets never sample in phase).
-        yield self._rng.uniform(0.0, self.config.report_interval_s)
-        while True:
-            if self.dead:
-                return
-            if not self.failed:
-                self.report_once()
-            yield self.config.report_interval_s
 
     def _failure_loop(self):
         while True:

@@ -1,31 +1,30 @@
-"""Batched device sampling: one kernel event sweeps a whole farm.
+"""Device sampling: one kernel event sweeps a whole group of devices.
 
-Legacy sampling runs one generator process per device, so every report
-costs a timer event plus a generator resume — on a full-season pilot the
-36 probe firmware loops alone contribute ~200k of the most expensive
-events in the schedule.  A :class:`SweepScheduler` replaces them with one
-self-rescheduling callback per distinct report interval per farm: each
-tick walks the enrolled devices in struct-of-arrays order (parallel
-device/reporter arrays, bound methods cached at enrollment) and samples
-every live device in a single event.
+Every device samples on a :class:`SweepGroup`: one self-rescheduling
+callback per group walks the enrolled devices in struct-of-arrays order
+(parallel device/reporter arrays, bound methods cached at enrollment)
+and samples every live device in a single event.  Pilots build one
+:class:`SweepScheduler` per farm, which keeps one group per distinct
+report interval, so a full-season pilot spends one event per farm tick
+instead of one timer event and generator resume per device report.  A
+device started without a scheduler samples on a one-member group of its
+own (see :meth:`repro.devices.base.Device.start`).
 
-Behavioural contract, mirrored from ``Device._firmware_loop``:
+Behavioural contract:
 
-* a *failed* device skips the sample but stays enrolled (it resumes
-  reporting after repair, exactly like the legacy loop's ``if not
-  self.failed`` guard);
-* a *dead* device (battery exhausted) is dropped from the group — the
-  legacy loop ``return``-ed on ``dead``;
+* a *failed* device skips the sample but stays enrolled, and resumes
+  reporting after repair;
+* a *dead* device (battery exhausted) is dropped from the group;
 * ``Device.stop()`` removes the device immediately via
-  :meth:`SweepGroup.remove`.
+  :meth:`SweepGroup.remove`; the group's pending tick still fires, finds
+  the group empty and stops ticking.
 
-Schedule note (Tier B): the legacy mode phase-shifts every device
-individually (one RNG draw per device from its own stream), while a sweep
-group draws a single start phase per (farm, interval) from the dedicated
-``sweep:<farm>`` stream and samples the whole group in one batch.  Event
-timestamps and RNG consumption therefore differ from legacy mode by
-design; pinned pilot fixtures were re-pinned when batched sampling became
-the pilot default (see tests/test_pilot_pinned.py).
+Phase: a group draws one start phase, uniform over its interval, when
+its first device enrolls.  Pilot groups draw it from the dedicated
+``sweep:<farm>`` stream; a one-member group draws it from its device's
+own ``device:<id>`` stream at :meth:`~repro.devices.base.Device.start`,
+so a directly built device's report times depend only on that stream
+and its start time (pinned in tests/test_sweep.py).
 
 Checkpoint/restore follows the same convention as the broker's sweeper:
 the tick is a plain self-rescheduling callback, so a run-level checkpoint
@@ -38,7 +37,7 @@ from repro.simkernel.simulator import Simulator
 
 
 class SweepGroup:
-    """All devices of one farm sharing one report interval."""
+    """Devices of one farm sharing one report interval."""
 
     __slots__ = ("sim", "interval_s", "label", "_rng", "_devices", "_reporters", "_ticking")
 

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
-Everything in the SWAMP reproduction runs on this kernel: device firmware
-loops, radio links, the MQTT broker, the context broker, fog/cloud sync,
+Everything in the SWAMP reproduction runs on this kernel: device sampling
+sweeps, radio links, the MQTT broker, the context broker, fog/cloud sync,
 attackers and detectors are all simulation processes scheduled on a single
 virtual clock.  Determinism is a hard requirement (experiments must be
 reproducible bit-for-bit from a seed), so:

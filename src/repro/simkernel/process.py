@@ -7,7 +7,7 @@ A process is a Python generator driven by the simulator.  It may yield:
   carried through to the generator).
 
 Processes model everything with an autonomous clock in SWAMP: device
-firmware sampling loops, irrigation controllers, attacker scripts, fog sync
+failure clocks, irrigation controllers, attacker scripts, fog sync
 daemons.  Purely reactive components (brokers, links) use plain event
 callbacks instead, which are cheaper.
 """

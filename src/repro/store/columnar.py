@@ -50,7 +50,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.context.history import HistoryQuery, HistoryResult
+from repro.context.history import (
+    HistoryQuery,
+    HistoryResult,
+    fold,
+    rollup_rows,
+    window_stats,
+)
 from repro.store.durable import SegmentStore, decode_sample
 from repro.store.segment import (
     StoreError,
@@ -151,15 +157,10 @@ def encode_chunk(
         blocks = []
         for start in range(0, len(times), block_size):
             block_t = times[start:start + block_size]
-            block_v = values[start:start + block_size]
-            vmin = vmax = block_v[0]
-            vsum = 0.0
-            for v in block_v:  # left fold in append order, like the rollups
-                if v < vmin:
-                    vmin = v
-                if v > vmax:
-                    vmax = v
-                vsum += v
+            acc: Dict[int, List[float]] = {}
+            for v in values[start:start + block_size]:
+                fold(acc, 0, v)
+            _count, vmin, vmax, vsum = acc[0]
             blocks.append(
                 [len(block_t), min(block_t), max(block_t), vmin, vmax, vsum]
             )
@@ -694,9 +695,9 @@ class ColumnarReader:
     chunk — and the zone maps prune whole blocks (and whole chunks, via
     the cached headers, without touching the file) that cannot
     intersect the query window.  Zone maps are never used to *answer*
-    anything: every surviving sample is re-folded left-to-right in
-    append order, which is what keeps results bit-identical to the
-    in-memory path.
+    anything: every surviving sample is re-folded in append order
+    through the history tier's one :func:`~repro.context.history.fold`,
+    which is what keeps results bit-identical to the in-memory path.
     """
 
     def __init__(self, columnar: ColumnarStore, store: SegmentStore) -> None:
@@ -830,35 +831,10 @@ class ColumnarReader:
         buckets: Dict[int, List[float]] = {}
         for t, v in chain(rows, wal):
             index = int(t // period)
-            start = index * period
-            if start < query.since or start > query.until:
-                continue
-            bucket = buckets.get(index)
-            if bucket is None:
-                buckets[index] = [1.0, v, v, v]
-                continue
-            bucket[0] += 1.0
-            if v < bucket[1]:
-                bucket[1] = v
-            if v > bucket[2]:
-                bucket[2] = v
-            bucket[3] += v
-        method = query.effective_method
-        out: List[Tuple[float, float]] = []
-        for index in sorted(buckets):
-            count, vmin, vmax, vsum = buckets[index]
-            if method == "count":
-                value = count
-            elif method == "min":
-                value = vmin
-            elif method == "max":
-                value = vmax
-            elif method == "sum":
-                value = vsum
-            else:
-                value = vsum / count
-            out.append((index * period, value))
-        return HistoryResult(query, "rollup", "columnar", rows=out,
+            if query.since <= index * period <= query.until:
+                fold(buckets, index, v)
+        return HistoryResult(query, "rollup", "columnar",
+                             rows=rollup_rows(buckets, query),
                              scanned_samples=ss, scanned_blocks=sb,
                              pruned_blocks=pb)
 
@@ -867,31 +843,9 @@ class ColumnarReader:
             query.entity_id, query.attr, query.since, query.until)
         wal = self._wal_samples(query.entity_id, query.attr)
         ss += len(wal)
-        count = 0
-        vmin = vmax = vsum = 0.0
-        for t, v in chain(rows, wal):
-            if not (query.since <= t <= query.until):
-                continue
-            if count == 0:
-                vmin = vmax = v
-                vsum = 0.0
-            else:
-                if v < vmin:
-                    vmin = v
-                if v > vmax:
-                    vmax = v
-            vsum += v
-            count += 1
-        stats = None
-        if count:
-            stats = {
-                "count": float(count),
-                "min": vmin,
-                "max": vmax,
-                "sum": vsum,
-                "mean": vsum / count,
-            }
-        return HistoryResult(query, "aggregate", "columnar", stats=stats,
+        return HistoryResult(query, "aggregate", "columnar",
+                             stats=window_stats(chain(rows, wal),
+                                                query.since, query.until),
                              scanned_samples=ss, scanned_blocks=sb,
                              pruned_blocks=pb)
 

@@ -67,7 +67,7 @@ class ProfileEntry:
 def service_of(key: str) -> str:
     """Collapse an event key to its service group.
 
-    ``proc:fw:farm-probe-0-0`` → ``proc:fw`` (all firmware loops),
+    ``proc:fail:farm-probe-0-0`` → ``proc:fail`` (all device failure clocks),
     ``fog-pinhal:sweep`` → ``svc:sweep`` (all broker sweepers),
     anything without a colon (``survey``, a callback qualname) maps to
     itself.

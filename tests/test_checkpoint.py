@@ -131,8 +131,10 @@ class TestSnapshotRestore:
     def test_load_rejects_non_checkpoint_payload(self, tmp_path):
         import pickle
 
+        from repro.store.segment import write_sealed
+
         path = tmp_path / "junk.ck"
-        path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
+        write_sealed(str(path), pickle.dumps({"not": "a checkpoint"}))
         with pytest.raises(cp.CheckpointError, match="RunCheckpoint"):
             cp.load_checkpoint(str(path))
 
@@ -176,6 +178,24 @@ class TestSnapshotRestore:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
+        with pytest.raises(cp.CheckpointError, match="torn or corrupt"):
+            cp.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: bytes([blob[0] ^ 0xFF]) + blob[1:],
+        lambda blob: blob[:3],
+        lambda blob: b"",
+    ], ids=["first-byte-flipped", "cut-to-3-bytes", "empty"])
+    def test_damaged_magic_is_a_checkpoint_error(self, tmp_path, damage):
+        """Damage to the blob's magic is reported like any other
+        corruption, never handed to the unpickler."""
+        runner = self._paused_runner()
+        path = tmp_path / "damaged.ck"
+        cp.save_checkpoint(cp.snapshot(
+            runner,
+            recipe=cp.RunRecipe(pilot="matopiba", builder_kwargs=TINY_MATOPIBA),
+        ), str(path))
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(cp.CheckpointError, match="torn or corrupt"):
             cp.load_checkpoint(str(path))
 

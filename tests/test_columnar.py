@@ -7,6 +7,8 @@ chunks deterministically, and a kill at any compaction crash point
 recovers to exactly the reads an uninterrupted run serves.
 """
 
+import math
+
 import pytest
 
 from repro.context.broker import ContextBroker
@@ -191,6 +193,32 @@ class TestCompaction:
         assert len(rows) == 80          # disk kept what the ring dropped
         assert len(mem) == 10
         assert rows[-10:] == mem        # and the shared suffix is identical
+
+
+class TestOneFold:
+    def test_every_sum_is_the_same_left_fold(self, tmp_path):
+        # Ten 0.1s: a left fold reads 0.9999999999999999, a compensated
+        # sum (builtin sum() from Python 3.12 on) reads 1.0.
+        values = [0.1] * 10
+        expected = 0.0
+        for v in values:
+            expected += v
+        assert expected != math.fsum(values)
+        sim, broker, history, service, compaction = columnar_fixture(
+            tmp_path, segment_bytes=200)
+        for v in values:  # all inside the first minute bucket
+            sim.run_until(sim.now + 1.0)
+            broker.update_attributes(EID, {ATTR: v})
+            service.flush_now()
+        compaction.compact_once()
+        # The answers fold chunk samples and WAL-tail samples together.
+        assert compaction.columnar.chunk_indexes()
+        assert service.store.read_all()
+        aggregate = HistoryQuery(EID, ATTR, aggregate=True)
+        rollup = HistoryQuery(EID, ATTR, period_s=MINUTE_S, method="sum")
+        for source in ("memory", "columnar"):
+            assert history.read(aggregate, source=source).stats["sum"] == expected
+            assert history.read(rollup, source=source).rows == [(0.0, expected)]
 
 
 class TestZoneMapPruning:
@@ -467,7 +495,7 @@ class TestOfflineReader:
 class TestRunIntegration:
     def test_run_with_compaction_reports_chunks(self, tmp_path):
         result = run(RunOptions(
-            pilot="matopiba", seed=3, days=0.25, metrics=False,
+            pilot="matopiba", seed=3, days=0.25,
             store_dir=str(tmp_path), store_flush_s=300.0,
             store_segment_bytes=4096, store_compact_s=1800.0,
         ))

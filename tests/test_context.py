@@ -14,8 +14,8 @@ from repro.context import (
     ShortTermHistory,
     Subscription,
 )
-from repro.context.broker import AlreadyExistsError, ContextError, _apply_op, _parse_filter
-from repro.context.query import parse_filter_expression
+from repro.context.broker import AlreadyExistsError, ContextError
+from repro.context.query import apply_op, parse_filter_expression
 from repro.simkernel import Simulator
 
 
@@ -94,42 +94,42 @@ class TestEntities:
 
 class TestFilters:
     def test_parse_all_operators(self):
-        assert _parse_filter("a==5") == ("a", "==", 5.0)
-        assert _parse_filter("a!=x") == ("a", "!=", "x")
-        assert _parse_filter("a<=5") == ("a", "<=", 5.0)
-        assert _parse_filter("a>=5") == ("a", ">=", 5.0)
-        assert _parse_filter("a<5") == ("a", "<", 5.0)
-        assert _parse_filter("a>5") == ("a", ">", 5.0)
+        assert parse_filter_expression("a==5") == AttrFilter("a", "==", 5.0)
+        assert parse_filter_expression("a!=x") == AttrFilter("a", "!=", "x")
+        assert parse_filter_expression("a<=5") == AttrFilter("a", "<=", 5.0)
+        assert parse_filter_expression("a>=5") == AttrFilter("a", ">=", 5.0)
+        assert parse_filter_expression("a<5") == AttrFilter("a", "<", 5.0)
+        assert parse_filter_expression("a>5") == AttrFilter("a", ">", 5.0)
 
     def test_parse_garbage_raises(self):
         with pytest.raises(ContextError):
-            _parse_filter("nonsense")
+            parse_filter_expression("nonsense")
 
     def test_parse_splits_on_earliest_operator(self):
         # An operator inside the *value* must not win over the one that
         # actually separates attribute and value.
-        assert _parse_filter("label<a==b") == ("label", "<", "a==b")
-        assert _parse_filter("status==a<b") == ("status", "==", "a<b")
-        assert _parse_filter("tag!=x>=1") == ("tag", "!=", "x>=1")
+        assert parse_filter_expression("label<a==b") == AttrFilter("label", "<", "a==b")
+        assert parse_filter_expression("status==a<b") == AttrFilter("status", "==", "a<b")
+        assert parse_filter_expression("tag!=x>=1") == AttrFilter("tag", "!=", "x>=1")
 
     def test_parse_prefers_longest_operator_at_same_position(self):
         # ``a<=1`` is ``<=``, not ``<`` with value ``=1``.
-        assert _parse_filter("a<=1") == ("a", "<=", 1.0)
-        assert _parse_filter("a>=1") == ("a", ">=", 1.0)
-        assert _parse_filter("a!=b") == ("a", "!=", "b")
+        assert parse_filter_expression("a<=1") == AttrFilter("a", "<=", 1.0)
+        assert parse_filter_expression("a>=1") == AttrFilter("a", ">=", 1.0)
+        assert parse_filter_expression("a!=b") == AttrFilter("a", "!=", "b")
 
     def test_parse_strips_whitespace(self):
-        assert _parse_filter("  temp  <=  21.5 ") == ("temp", "<=", 21.5)
+        assert parse_filter_expression("  temp  <=  21.5 ") == AttrFilter("temp", "<=", 21.5)
 
     def test_apply_op_string_equality(self):
-        assert _apply_op("open", "==", "open")
-        assert _apply_op("open", "!=", "closed")
+        assert apply_op("open", "==", "open")
+        assert apply_op("open", "!=", "closed")
 
     def test_apply_op_missing_value(self):
-        assert not _apply_op(None, "==", 5.0)
+        assert not apply_op(None, "==", 5.0)
 
     def test_apply_op_non_numeric_comparison(self):
-        assert not _apply_op("text", "<", 5.0)
+        assert not apply_op("text", "<", 5.0)
 
 
 class TestQueries:

@@ -190,7 +190,7 @@ class TestDeviceLifecycle:
         assert probe._failure_process is not None and probe._failure_process.alive
         h.sim.run(until=2 * 3600.0)
         probe.stop()
-        assert probe._process is None and probe._failure_process is None
+        assert probe._sweep_group is None and probe._failure_process is None
         failures_at_stop = len(self._failure_traces(h, "probe1"))
         reports_at_stop = len(h.telemetry("probe1"))
         probe.failed = False

@@ -1,6 +1,4 @@
-"""The unified typed history read API and its deprecation shims."""
-
-import warnings
+"""The unified typed history read API."""
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.context import (
     QueryError,
     ShortTermHistory,
 )
-from repro.context import history as history_module
 from repro.context.history import MINUTE_S
 from repro.simkernel import Simulator
 
@@ -100,58 +97,3 @@ class TestSources:
         mem = history.read(HistoryQuery(EID, ATTR), source="memory")
         assert mem.source == "memory" and len(mem.rows) == 3
 
-
-class TestReadEquivalence:
-    """Each shim answers exactly what the typed read answers."""
-
-    def test_all_shapes(self):
-        sim, broker, history = make_history(rollup_periods=(MINUTE_S,))
-        feed(sim, broker, 30)
-        read = lambda **kw: history.read(HistoryQuery(EID, ATTR, **kw),
-                                         source="memory")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert history.series(EID, ATTR) == read().rows
-            assert history.last_n(EID, ATTR, 5) == read(last_n=5).rows
-            assert history.range(EID, ATTR, since=50.0, until=150.0) == \
-                read(since=50.0, until=150.0).rows
-            assert history.aggregate(EID, ATTR) == read(aggregate=True).stats
-            assert history.rollup(EID, ATTR, MINUTE_S, method="sum") == \
-                read(period_s=MINUTE_S, method="sum").rows
-            assert history.downsample(EID, ATTR, MINUTE_S) == \
-                read(period_s=MINUTE_S, method="mean").rows
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize("name,call", [
-        ("series", lambda h: h.series(EID, ATTR)),
-        ("last_n", lambda h: h.last_n(EID, ATTR, 2)),
-        ("range", lambda h: h.range(EID, ATTR)),
-        ("aggregate", lambda h: h.aggregate(EID, ATTR)),
-        ("rollup", lambda h: h.rollup(EID, ATTR, MINUTE_S)),
-        ("downsample", lambda h: h.downsample(EID, ATTR, MINUTE_S)),
-    ])
-    def test_warns_once_then_stays_quiet(self, name, call):
-        _sim, _broker, history = make_history(rollup_periods=(MINUTE_S,))
-        qualified = f"ShortTermHistory.{name}"
-        history_module._DEPRECATION_WARNED.discard(qualified)
-        with pytest.warns(DeprecationWarning, match=f"{qualified} is deprecated"):
-            call(history)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            call(history)  # second call must not warn again
-
-    def test_attach_store_shim_still_wires_the_sink(self):
-        _sim, broker, history = make_history()
-        seen = []
-
-        class Sink:
-            def on_sample(self, entity_id, attr, t, v):
-                seen.append((entity_id, attr, t, v))
-
-        history_module._DEPRECATION_WARNED.discard(
-            "ShortTermHistory.attach_store")
-        with pytest.warns(DeprecationWarning, match="attach_store is deprecated"):
-            history.attach_store(Sink())
-        broker.update_attributes(EID, {ATTR: 0.5})
-        assert len(seen) == 1 and seen[0][:2] == (EID, ATTR)

@@ -1,6 +1,6 @@
-"""Tests for batched device sampling (SweepScheduler / SweepGroup)."""
+"""Tests for sweep-driven device sampling (SweepScheduler / SweepGroup)."""
 
-import dataclasses
+import hashlib
 
 from repro.devices import DeviceConfig, SoilMoistureProbe, WeatherStation
 from repro.devices.sweep import SweepScheduler
@@ -26,7 +26,7 @@ class Harness:
         self.reports = []
         self.observer.connect()
         self.observer.subscribe(
-            "swamp/#", handler=lambda t, p, q, r: self.reports.append(t)
+            "swamp/#", handler=lambda t, p, q, r: self.reports.append((self.sim.now, t))
         )
         self.field = Field("f", 2, 2, LOAM, SOYBEAN, self.sim.rng.stream("field"))
         self.sweeper = SweepScheduler(self.sim, "farm")
@@ -46,7 +46,8 @@ class Harness:
         return probe
 
     def reports_of(self, device):
-        return [t for t in self.reports if t.endswith(f"attrs/{device.config.device_id}")]
+        suffix = f"attrs/{device.config.device_id}"
+        return [r for r in self.reports if r[1].endswith(suffix)]
 
 
 class TestSweepGroup:
@@ -55,7 +56,7 @@ class TestSweepGroup:
         p0, p1 = h.add_probe(0), h.add_probe(1)
         assert p0._sweep_group is p1._sweep_group
         assert len(p0._sweep_group) == 2
-        assert p0._process is None  # no per-device firmware loop spawned
+        assert p0._sweep_group is h.sweeper.group_for(600.0)
 
     def test_distinct_intervals_get_distinct_groups(self):
         h = Harness()
@@ -135,54 +136,54 @@ class TestSweepGroup:
         assert len(p0._sweep_group) == 1
 
     def test_direct_constructed_device_keeps_legacy_loop(self):
+        """Without a sweeper, a device samples on a one-member group
+        phased like the per-device loop it replaced: one uniform draw
+        from its own ``device:<id>`` stream at start()."""
         h = Harness()
         probe = h.add_probe(0, batched=False)
-        assert probe._sweep_group is None
-        assert probe._process is not None
+        assert len(probe._sweep_group) == 1
+        assert h.sweeper.total_enrolled() == 0
+        # The stream's draws: the probe's calibration gain at
+        # construction, then the phase at start().
+        stream = Simulator(seed=1).rng.stream("device:p0")
+        stream.bounded_gauss(1.0, 0.02, 0.9, 1.1)
+        phase = stream.uniform(0.0, 600.0)
+        h.sim.run(until=phase - 1e-6)
+        assert probe.sent_reports == 0
+        h.sim.run(until=phase)
+        assert probe.sent_reports == 1
         h.sim.run(until=3600.0)
         assert len(h.reports_of(probe)) >= 5
 
 
-class TestPilotBatchedSampling:
-    def _report(self, batched):
-        from repro.core.deployment import DeploymentKind
-        from repro.core.pilot import PilotConfig, PilotRunner
-        from repro.physics.weather import BARREIRAS_MATOPIBA
+class TestDirectDevicesPinned:
+    """Directly built devices keep their report times.
 
-        runner = PilotRunner(PilotConfig(
-            name="sweep", farm="sweepfarm", climate=BARREIRAS_MATOPIBA,
-            crop=SOYBEAN, soil=LOAM, rows=2, cols=2, season_days=14,
-            start_day_of_year=150, initial_theta=0.20,
-            deployment=DeploymentKind.FOG, seed=5,
-            batched_sampling=batched,
-        ))
-        runner.run_season()
-        return runner, dataclasses.asdict(runner.report())
+    Pinned at the last commit that sampled them with a per-device loop:
+    the digest of every ``(arrival time, topic)`` the observer saw and
+    each device's ``sent_reports``, on a rig with mixed intervals, an
+    MTBF device, a battery death and a mid-run ``stop()``.  The kernel
+    event count is not pinned: a stopped device's one-member group fires
+    one no-op tick where the loop's pending timer was cancelled.
+    """
 
-    def test_batched_and_legacy_agree_on_platform_behaviour(self):
-        runner_b, batched = self._report(True)
-        runner_l, legacy = self._report(False)
-        assert runner_b.sweep_scheduler is not None
-        assert runner_l.sweep_scheduler is None
-        assert runner_b.sweep_scheduler.total_enrolled() > 0
-        # The schedule differs (Tier B) but the platform outcome must be
-        # equivalent: same decision cadence, no losses, same physics
-        # envelope (water within a few percent).
-        for key in ("decision_cycles", "devices_dead", "skipped_no_data",
-                    "measures_dropped_unprovisioned", "broker_denied",
-                    "replicator_dropped", "alerts"):
-            assert batched[key] == legacy[key], key
-        assert batched["measures_processed"] > 0
-        # Sampling-phase shifts move individual irrigation events across
-        # decision-cycle boundaries, so short windows can differ by one
-        # cycle's water; the crop outcome and the cumulative envelope
-        # must still agree.
-        assert abs(batched["relative_yield"] - legacy["relative_yield"]) < 0.005
-        if legacy["irrigation_m3"]:
-            ratio = batched["irrigation_m3"] / legacy["irrigation_m3"]
-            assert 0.85 < ratio < 1.15
+    REPORTS_SHA256 = "58ee9884a50689fbc61abf523bab91691eaf8e92091df9e5bf47be168ef1adff"
+    SENT_REPORTS = {"p0": 144, "p1": 96, "p2": 104, "p3": 8, "p4": 15}
 
-    def test_batched_run_schedules_fewer_events(self):
-        runner_b, _ = self._report(True)
-        runner_l, _ = self._report(False)
-        assert runner_b.sim.events_executed < runner_l.sim.events_executed
+    def test_reports_match_the_pinned_schedule(self):
+        h = Harness(seed=23)
+        probes = [
+            h.add_probe(0, 600.0, batched=False),
+            h.add_probe(1, 900.0, batched=False),
+            h.add_probe(2, 600.0, batched=False, mtbf_s=3600.0, repair_time_s=1200.0),
+            h.add_probe(3, 300.0, batched=False, battery_capacity_j=1.0),
+            h.add_probe(4, 1200.0, batched=False),
+        ]
+        h.sim.run(until=5 * 3600.0)
+        probes[4].stop()
+        h.sim.run(until=24 * 3600.0)
+        assert probes[3].dead
+        sent = {p.config.device_id: p.sent_reports for p in probes}
+        digest = hashlib.sha256(repr(h.reports).encode("utf-8")).hexdigest()
+        assert sent == self.SENT_REPORTS
+        assert digest == self.REPORTS_SHA256
