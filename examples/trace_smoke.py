@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 if __name__ == "__main__":  # allow `python examples/trace_smoke.py`
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -34,14 +33,11 @@ PILOT_KWARGS = {"rows": 2, "cols": 2, "season_days": 3}
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = os.path.join(tmp, "trace.json")
-        traced = run(RunOptions(
-            pilot="matopiba", seed=5, trace=True, trace_path=trace_path,
-            profile=True, pilot_kwargs=dict(PILOT_KWARGS),
-        ))
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            exported = json.load(fh)
+    traced = run(RunOptions(
+        pilot="matopiba", seed=5, trace=True, profile=True,
+        pilot_kwargs=dict(PILOT_KWARGS),
+    ))
+    exported = json.loads(json.dumps(traced.runner.tracer.chrome_trace()))
     plain = run(RunOptions(pilot="matopiba", seed=5, pilot_kwargs=dict(PILOT_KWARGS)))
 
     tracer = traced.runner.tracer

@@ -37,6 +37,7 @@ from repro.core.run import RunOptions, run
 from repro.core.security_profile import SecurityConfig
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.resilience import ResilienceConfig
+from repro.store import StoreError
 
 SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
 
@@ -48,15 +49,22 @@ COMPARE_PRESETS = {
 }
 
 
-def _parse_security(spec: Optional[str]) -> SecurityConfig:
-    # Delegates to the API-level parser; the CLI's contract is the
-    # SystemExit (same message) rather than ValueError.
-    from repro.core.run import parse_security_spec
+def parse_security_spec(spec: Optional[str]) -> SecurityConfig:
+    """Parse a comma-separated flag list (``"auth,encryption"``).
 
-    try:
-        return parse_security_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    Unknown flags exit with a message naming the valid ones.
+    """
+    config = SecurityConfig()
+    for flag in (spec or "").split(","):
+        flag = flag.strip()
+        if not flag:
+            continue
+        if flag not in SECURITY_FLAGS:
+            raise SystemExit(
+                f"unknown security flag {flag!r}; choose from {', '.join(SECURITY_FLAGS)}"
+            )
+        setattr(config, flag, True)
+    return config
 
 
 def _load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
@@ -70,32 +78,32 @@ def _load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
         raise SystemExit(f"invalid fault plan {path!r}: {exc}")
 
 
-def _options_from_args(
-    args, scheduler_kind: Optional[str] = None, pilot_kwargs: Optional[dict] = None
-) -> RunOptions:
+def _options_from_args(args, pilot_kwargs: Optional[dict] = None) -> RunOptions:
     """Map the shared CLI options block onto one :class:`RunOptions`."""
+    store = {}
+    if hasattr(args, "store"):  # run and serve; compare has no store flags
+        store = dict(
+            store_dir=args.store,
+            store_flush_s=args.store_flush,
+            store_segment_bytes=args.store_segment_bytes,
+            store_compact_s=args.store_compact,
+            store_retention_age_s=args.store_retention_age,
+            store_retention_bytes=args.store_retention_bytes,
+        )
     return RunOptions(
         pilot=args.pilot,
         seed=args.seed,
         days=args.days,
-        security=_parse_security(args.security),
+        security=parse_security_spec(args.security),
         faults=_load_fault_plan(args.faults),
         resilience=ResilienceConfig() if args.resilience else None,
         trace=args.trace is not None,
         profile=args.profile_top is not None,
-        profile_top=args.profile_top if args.profile_top is not None else 10,
-        scheduler_kind=scheduler_kind,
         pilot_kwargs=dict(pilot_kwargs or {}),
         checkpoint=getattr(args, "checkpoint", None),
         checkpoint_every_s=getattr(args, "checkpoint_every", None),
         restore=getattr(args, "restore", None),
-        store_dir=getattr(args, "store", None),
-        store_flush_s=getattr(args, "store_flush", None) or 60.0,
-        store_segment_bytes=(getattr(args, "store_segment_bytes", None)
-                             or 4 * 1024 * 1024),
-        store_compact_s=getattr(args, "store_compact", None),
-        store_retention_age_s=getattr(args, "store_retention_age", None),
-        store_retention_bytes=getattr(args, "store_retention_bytes", None),
+        **store,
     )
 
 
@@ -158,29 +166,36 @@ def _print_metrics_summary(runner, out) -> None:
         )
 
 
+def _write_file(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} to {path!r}: {exc}")
+
+
+def _run_or_exit(options: RunOptions):
+    """:func:`run`, with the library's option errors as an error line."""
+    try:
+        return run(options)
+    except (CheckpointError, StoreError) as exc:
+        raise SystemExit(str(exc))
+
+
 def _write_run_artifacts(args, runner, out) -> None:
     """Profiler summary, Chrome-trace export and metrics snapshot."""
     if runner.profiler is not None:
         for line in runner.profiler.summary_lines(args.profile_top):
             print(line, file=out)
     if args.trace:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(runner.tracer.chrome_trace(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write trace to {args.trace!r}: {exc}")
+        _write_file(args.trace, json.dumps(runner.tracer.chrome_trace(), indent=1), "trace")
         print(
             f"trace written to {args.trace} ({len(runner.tracer.spans())} spans)",
             file=out,
         )
     if args.metrics:
-        try:
-            with open(args.metrics, "w", encoding="utf-8") as fh:
-                fh.write(runner.sim.metrics.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write metrics snapshot to {args.metrics!r}: {exc}")
+        _write_file(args.metrics, runner.sim.metrics.to_json(), "metrics snapshot")
         print(f"metrics snapshot written to {args.metrics}", file=out)
 
 
@@ -188,10 +203,7 @@ def cmd_run(args, out) -> int:
     if args.checkpoint is not None and args.restore is not None:
         raise SystemExit("--checkpoint and --restore are mutually exclusive")
     options = _options_from_args(args)
-    try:
-        result = run(options)
-    except CheckpointError as exc:
-        raise SystemExit(str(exc))
+    result = _run_or_exit(options)
     runner = result.runner
     if args.restore is not None:
         print(f"restored from {args.restore}", file=out)
@@ -235,8 +247,8 @@ def cmd_compare(args, out) -> int:
     preset = COMPARE_PRESETS.get(args.pilot, {})
     results = {}
     for kind in ("smart", "fixed"):
-        results[kind] = run(
-            _options_from_args(args, scheduler_kind=kind, pilot_kwargs=preset)
+        results[kind] = _run_or_exit(
+            _options_from_args(args, pilot_kwargs={**preset, "scheduler_kind": kind})
         )
     smart = results["smart"].report
     fixed = results["fixed"].report
@@ -293,8 +305,7 @@ def cmd_serve(args, out) -> int:
         print(f"request trace written to {args.record} "
               f"({len(trace.requests)} requests)", file=out)
     options.serve_trace = trace
-    options.serve_responses = args.responses
-    result = run(options)
+    result = _run_or_exit(options)
     service = result.service
     report = service.report()
     print(f"--- service: {trace.name} ({len(trace.requests)} requests, "
@@ -313,14 +324,14 @@ def cmd_serve(args, out) -> int:
         f"p99 {latency['p99']:.3f}s",
         file=out,
     )
-    if report["cache"] is not None:
-        cache = report["cache"]
-        print(
-            f"cache: {cache['hits']} hits / {cache['hits'] + cache['misses']} "
-            f"lookups ({cache['hit_rate']:.1%}), {cache['invalidated']} invalidated",
-            file=out,
-        )
+    cache = report["cache"]
+    print(
+        f"cache: {cache['hits']} hits / {cache['hits'] + cache['misses']} "
+        f"lookups ({cache['hit_rate']:.1%}), {cache['invalidated']} invalidated",
+        file=out,
+    )
     if args.responses:
+        _write_file(args.responses, service.response_log(), "response log")
         print(f"response log written to {args.responses}", file=out)
     print(f"response digest: {report['digest']}", file=out)
     _write_run_artifacts(args, result.runner, out)
@@ -403,13 +414,13 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
                         help="write history through a durable segment store "
                              "under DIR (crash-recoverable)")
     parser.add_argument("--store-flush", dest="store_flush", type=float,
-                        default=60.0, metavar="SECS",
+                        default=RunOptions.store_flush_s, metavar="SECS",
                         help="fsync-barrier interval of the durable store "
-                             "in sim-seconds (default 60)")
+                             "in sim-seconds (default %(default)g)")
     parser.add_argument("--store-segment-bytes", dest="store_segment_bytes",
-                        type=int, default=None, metavar="N",
+                        type=int, default=RunOptions.store_segment_bytes, metavar="N",
                         help="WAL segment rotation threshold in bytes "
-                             "(default 4 MiB)")
+                             "(default %(default)d)")
     parser.add_argument("--store-compact", dest="store_compact", type=float,
                         default=None, metavar="SECS",
                         help="compact sealed WAL segments into columnar "

@@ -86,9 +86,9 @@ class ContextBroker:
         # Hook called on every applied update: (entity, changed_attrs).
         # The replicator and audit layers attach here.
         self.update_hooks: List[Callable[[ContextEntity, List[str]], None]] = []
-        # Optional admission gate on the update hot path (installed by the
-        # resilience stage): a closed window sheds the update before any
-        # entity work, hooks or dispatch run.
+        # Optional admission gate on the update hot path (assign a
+        # RateLimiter): a closed window sheds the update before any entity
+        # work, hooks or dispatch run.
         self.update_limit = None
         labels = {"broker": name}
         registry = sim.metrics

@@ -41,7 +41,7 @@ from repro.simkernel.clock import DAY, HOUR
 from repro.simkernel.simulator import Simulator
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import KernelProfiler
-from repro.telemetry.tracing import NULL_TRACER, TraceConfig, Tracer, log_sampler
+from repro.telemetry.tracing import NULL_TRACER, TraceConfig, Tracer
 
 
 @dataclass
@@ -169,21 +169,13 @@ class PilotRunner:
         self.config = config
         metrics = MetricsRegistry(enabled=config.metrics_enabled)
         if config.tracing is not None:
-            self.tracer = Tracer(
-                seed=config.seed,
-                sample_rate=config.tracing.sample_rate,
-                max_spans=config.tracing.max_spans,
-            )
+            self.tracer = Tracer(seed=config.seed, sample_rate=config.tracing.sample_rate)
         else:
             self.tracer = NULL_TRACER
         self.profiler = KernelProfiler() if config.profile else None
         self.sim = Simulator(
             seed=config.seed, metrics=metrics, tracer=self.tracer, profiler=self.profiler
         )
-        if config.tracing is not None and config.tracing.log_sample_rate < 1.0:
-            self.sim.trace.set_sampler(
-                log_sampler(config.seed, config.tracing.log_sample_rate)
-            )
         if self.profiler is not None:
             self.profiler.install_metrics(metrics)
         self.net = Network(self.sim, name=config.name)

@@ -208,13 +208,6 @@ def build_matopiba_pilot(
     return PilotRunner(config, rebuilding=rebuilding)
 
 
-ALL_PILOTS = {
-    "cbec": lambda seed=0: build_cbec_pilot(seed)[0],
-    "intercrop": lambda seed=0: build_intercrop_pilot(seed)[0],
-    "guaspari": lambda seed=0: build_guaspari_pilot(seed),
-    "matopiba": lambda seed=0: build_matopiba_pilot(seed),
-}
-
 # Uniform builder surface for the run() entrypoint: every pilot accepts
 # the same keyword set (builders that also return water infrastructure
 # strip it here — callers needing the infrastructure use the build_*

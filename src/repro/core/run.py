@@ -17,11 +17,15 @@ service layer: the trace's tenants are registered and its requests
 replayed against the pilot on the simulation clock.  With the option
 unset nothing service-related is constructed, so pinned fixtures are
 untouched.
+
+:func:`run` writes no run artifacts: the Chrome trace, response log and
+metrics snapshot are read off the returned handles (``result.runner``,
+``result.service``) by whoever wants them on disk — the CLI does.
 """
 
 import dataclasses
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.core.pilot import PilotConfig, PilotReport, PilotRunner
 from repro.core.security_profile import SecurityConfig
@@ -30,30 +34,7 @@ from repro.faults.plan import FaultPlan
 from repro.resilience import ResilienceConfig
 from repro.telemetry.tracing import TraceConfig
 
-__all__ = ["RunOptions", "RunResult", "parse_security_spec", "run"]
-
-SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
-
-
-def parse_security_spec(spec: Optional[str]) -> SecurityConfig:
-    """Parse a comma-separated flag list (``"auth,encryption"``).
-
-    Raises :class:`ValueError` on unknown flags; the CLI converts that to
-    a ``SystemExit`` with the same message.
-    """
-    config = SecurityConfig()
-    if not spec:
-        return config
-    for flag in spec.split(","):
-        flag = flag.strip()
-        if not flag:
-            continue
-        if flag not in SECURITY_FLAGS:
-            raise ValueError(
-                f"unknown security flag {flag!r}; choose from {', '.join(SECURITY_FLAGS)}"
-            )
-        setattr(config, flag, True)
-    return config
+__all__ = ["RunOptions", "RunResult", "run"]
 
 
 @dataclass
@@ -79,23 +60,19 @@ class RunOptions:
     seed: int = 0
     # Truncate the season to N days (None = full season).
     days: Optional[float] = None
-    # SecurityConfig, a "auth,encryption" spec string, or None (defaults).
-    security: Union[SecurityConfig, str, None] = None
-    # FaultPlan, a path to a fault-plan JSON file, or None.
-    faults: Union[FaultPlan, str, None] = None
-    # ResilienceConfig, True (defaults), or None/False (off).
-    resilience: Union[ResilienceConfig, bool, None] = None
-    # Tracing: ``trace=True`` (or a trace_path) enables span collection;
-    # the exported Chrome-trace JSON is written to ``trace_path``.
+    # None keeps each layer's default (security off, no faults,
+    # resilience off).
+    security: Optional[SecurityConfig] = None
+    faults: Optional[FaultPlan] = None
+    resilience: Optional[ResilienceConfig] = None
+    # Tracing: ``trace=True`` enables span collection on the runner's
+    # tracer (export it with ``result.runner.tracer.chrome_trace()``).
     trace: bool = False
-    trace_path: Optional[str] = None
     trace_sample_rate: float = 1.0
-    # Kernel profiling (top-K hottest event keys; ``profile.*`` metrics).
+    # Kernel profiling (``profile.*`` metrics, ``runner.profiler``).
     profile: bool = False
-    profile_top: int = 10
-    # Builder-path extras: scheduler policy arm and any pilot-specific
-    # factory kwargs (e.g. matopiba's rows/cols/probe_interval_s).
-    scheduler_kind: Optional[str] = None
+    # Builder-path extras: any pilot-specific factory kwargs (e.g.
+    # scheduler_kind, or matopiba's rows/cols/probe_interval_s).
     pilot_kwargs: Dict[str, Any] = dataclass_field(default_factory=dict)
     # Chaos mode (see repro.faults.chaos).
     chaos: bool = False
@@ -106,11 +83,10 @@ class RunOptions:
     checkpoint: Optional[str] = None
     checkpoint_every_s: Optional[float] = None
     restore: Optional[str] = None
-    # North-facing service layer (see repro.service): a RequestTrace (or
-    # path to its JSON) replayed against the running pilot, and an
-    # optional path for the canonical response log.
+    # North-facing service layer (see repro.service): a RequestTrace
+    # replayed against the running pilot; ``result.service`` holds the
+    # response log.
     serve_trace: Any = None
-    serve_responses: Optional[str] = None
     # Durable history (see repro.store): a directory for the append-only
     # segment store behind ShortTermHistory.  None (default) constructs
     # nothing, keeping pinned fixtures byte-identical.
@@ -126,35 +102,9 @@ class RunOptions:
     store_retention_bytes: Optional[int] = None
 
     def trace_config(self) -> Optional[TraceConfig]:
-        if not (self.trace or self.trace_path):
+        if not self.trace:
             return None
         return TraceConfig(sample_rate=self.trace_sample_rate)
-
-    def resolved_security(self) -> Optional[SecurityConfig]:
-        if isinstance(self.security, str):
-            return parse_security_spec(self.security)
-        return self.security
-
-    def resolved_faults(self) -> Optional[FaultPlan]:
-        if isinstance(self.faults, str):
-            return FaultPlan.load(self.faults)
-        return self.faults
-
-    def resolved_serve_trace(self):
-        if self.serve_trace is None:
-            return None
-        if isinstance(self.serve_trace, str):
-            from repro.service.loadgen import RequestTrace
-
-            return RequestTrace.load(self.serve_trace)
-        return self.serve_trace
-
-    def resolved_resilience(self) -> Optional[ResilienceConfig]:
-        if self.resilience is True:
-            return ResilienceConfig()
-        if self.resilience is False:
-            return None
-        return self.resilience
 
 
 @dataclass
@@ -174,8 +124,7 @@ class RunResult:
 def run(options: RunOptions) -> RunResult:
     """Build, run and post-process one run per ``options``."""
     tracing = options.trace_config()
-    serve_trace = options.resolved_serve_trace()
-    if serve_trace is not None and (
+    if options.serve_trace is not None and (
         options.chaos or options.checkpoint is not None or options.restore is not None
     ):
         raise ValueError(
@@ -195,7 +144,6 @@ def run(options: RunOptions) -> RunResult:
 
         restored = _checkpoint.restore(options.restore)
         report = _checkpoint.resume(restored)
-        _write_trace(options, restored.runner)
         return RunResult(report=report, runner=restored.runner)
 
     if options.checkpoint is not None and options.chaos:
@@ -209,11 +157,10 @@ def run(options: RunOptions) -> RunResult:
 
         result = _run_chaos(
             options.seed,
-            plan=options.resolved_faults(),
+            plan=options.faults,
             tracing=tracing,
             profile=options.profile,
         )
-        _write_trace(options, result.runner)
         return RunResult(report=result.report, runner=result.runner, chaos=result)
 
     recipe = None
@@ -243,22 +190,19 @@ def run(options: RunOptions) -> RunResult:
             )
         kwargs: Dict[str, Any] = {
             "seed": options.seed,
-            "security": options.resolved_security(),
-            "fault_plan": options.resolved_faults(),
-            "resilience": options.resolved_resilience(),
+            "security": options.security,
+            "fault_plan": options.faults,
+            "resilience": options.resilience,
             "tracing": tracing,
             "profile": options.profile,
         }
-        if options.scheduler_kind is not None:
-            kwargs["scheduler_kind"] = options.scheduler_kind
         kwargs.update(options.pilot_kwargs)
         runner = builder(**kwargs)
         if options.checkpoint is not None:
             from repro.core.checkpoint import RunRecipe
 
-            # The kwargs are resolved values (dataclasses, not spec
-            # strings), all picklable — the recipe rebuilds through the
-            # same builder with the same inputs.
+            # The kwargs are plain picklable values — the recipe
+            # rebuilds through the same builder with the same inputs.
             recipe = RunRecipe(pilot=options.pilot, builder_kwargs=kwargs)
 
     if options.store_dir is not None:
@@ -282,14 +226,14 @@ def run(options: RunOptions) -> RunResult:
         )
 
     service = None
-    if serve_trace is not None:
+    if options.serve_trace is not None:
         from repro.service.loadgen import schedule_trace
         from repro.service.app import NgsiService
 
         service = NgsiService(
             runner.sim, runner.context, runner.history, runner.security
         )
-        schedule_trace(service, serve_trace)
+        schedule_trace(service, options.serve_trace)
 
     if options.checkpoint is not None:
         from repro.core.checkpoint import run_with_checkpoints
@@ -308,19 +252,4 @@ def run(options: RunOptions) -> RunResult:
         report = runner.report()
     else:
         report = runner.run_season()
-    _write_trace(options, runner)
-    if service is not None and options.serve_responses:
-        with open(options.serve_responses, "w", encoding="utf-8") as fh:
-            fh.write(service.response_log())
-            fh.write("\n")
     return RunResult(report=report, runner=runner, service=service)
-
-
-def _write_trace(options: RunOptions, runner) -> None:
-    """Write the Chrome-trace export, if requested."""
-    if options.trace_path:
-        import json
-
-        with open(options.trace_path, "w", encoding="utf-8") as fh:
-            json.dump(runner.tracer.chrome_trace(), fh, indent=1)
-            fh.write("\n")

@@ -45,12 +45,7 @@ from repro.network.radio import ETHERNET_LAN, LORA_FIELD, WAN_BACKHAUL
 from repro.physics.field import Field
 from repro.physics.ndvi import NdviTracker
 from repro.physics.weather import WeatherGenerator
-from repro.resilience import (
-    CircuitBreaker,
-    DegradedModePolicy,
-    RateLimiter,
-    Supervisor,
-)
+from repro.resilience import CircuitBreaker, DegradedModePolicy, Supervisor
 
 
 class BuildStage:
@@ -493,7 +488,7 @@ class FaultInjectionStage(BuildStage):
 
 
 class ResilienceStage(BuildStage):
-    """Supervision, admission control, uplink breaking, degraded autonomy.
+    """Supervision, uplink breaking, degraded autonomy.
 
     Appended to the stage list only when ``config.resilience`` is set —
     the same contract as :class:`FaultInjectionStage`: pilots without it
@@ -539,10 +534,6 @@ class ResilienceStage(BuildStage):
                 probe=lambda now, b=broker, s=stale_after: now - b.last_sweep_at <= s,
                 restart=rearm_sweeper,
             )
-            if cfg.broker_inbound_limit_per_s:
-                broker.inbound_limit = RateLimiter(
-                    cfg.broker_inbound_limit_per_s, policy=cfg.broker_inbound_policy
-                )
 
         # Context broker: heartbeat fed by the update hot path — a healthy
         # fleet updates context continuously, so silence means the path
@@ -555,10 +546,6 @@ class ResilienceStage(BuildStage):
         runner.context.update_hooks.append(
             lambda entity, changed, w=context_watch: w.beat()
         )
-        if cfg.context_update_limit_per_s:
-            runner.context.update_limit = RateLimiter(
-                cfg.context_update_limit_per_s, policy=cfg.context_update_policy
-            )
 
         # Replicator: the one genuinely crashable daemon (fault plans kill
         # it); the supervisor restarts it under seeded backoff.

@@ -173,8 +173,8 @@ class MqttBroker(NetworkNode):
             lambda: float(sum(1 for s in self.sessions.values() if s.connected)),
             labels,
         )
-        # Optional inbound admission gate (installed by the resilience
-        # stage): a closed window sheds PUBLISHes before any routing work.
+        # Optional inbound admission gate (assign a RateLimiter): a closed
+        # window sheds PUBLISHes before any routing work.
         self.inbound_limit: Optional[RateLimiter] = None
         self._sweep_interval_s = sweep_interval_s
         self._sweeping = False

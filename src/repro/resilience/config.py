@@ -7,9 +7,6 @@ they were before the layer existed.
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.resilience.backpressure import DropPolicy
 
 
 @dataclass
@@ -41,9 +38,3 @@ class ResilienceConfig:
     #: Journal capacity for decisions taken while degraded (oldest-first
     #: eviction; reconciled to the cloud on reconnect).
     journal_limit: int = 512
-
-    # -- admission control (None disables each hook) -----------------------
-    broker_inbound_limit_per_s: Optional[int] = None
-    broker_inbound_policy: DropPolicy = DropPolicy.DROP_NEWEST
-    context_update_limit_per_s: Optional[int] = None
-    context_update_policy: DropPolicy = DropPolicy.DROP_NEWEST

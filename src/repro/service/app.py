@@ -7,7 +7,7 @@ authentication through the existing ``security.auth`` PEP/PDP, per-tenant
 namespace isolation and quotas, a version-invalidated response cache, and
 a pump process that drains admitted requests on the simulation clock.
 
-Request lifecycle (``submit``):
+Request lifecycle (``submit``/``handle``):
 
 1. **route** — method+path match (404 unknown path, 405 wrong method);
 2. **authenticate** — introspect the bearer token (401), resolve the
@@ -16,9 +16,11 @@ Request lifecycle (``submit``):
    (the entity id for entity-scoped routes), then the tenant's own
    namespace prefix check (403);
 4. **admit** — the tenant's quota window (429) and backlog queue (503);
-5. **execute** — immediately (sync mode) or when the pump drains the
-   backlog (queued mode); cacheable reads consult the response cache;
-   handler errors translate through :mod:`repro.service.errors`.
+5. **execute** — immediately (``handle()``, or ``submit()`` before
+   ``start()``), or when the pump drains the backlog (``submit()`` once
+   ``start()`` has spawned the pump); cacheable reads consult the
+   response cache; handler errors translate through
+   :mod:`repro.service.errors`.
 
 Every request ends as one *record* — ``(seq, tenant, method, path,
 at_s, done_s, status, cache, body)`` — and the canonical JSON response
@@ -31,8 +33,9 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.context.broker import ContextBroker
 from repro.context.delivery import DeliveryConfig, DeliveryManager, SimulatedEndpoint
@@ -66,22 +69,16 @@ _AGGR_PERIODS = {"minute": MINUTE_S, "hour": HOUR_S}
 class ServiceConfig:
     """Tuning knobs for one :class:`NgsiService` instance."""
 
-    #: Drain admitted requests through a pump process every this many
-    #: sim-seconds (queued mode); False = execute at submit time.
-    queued: bool = True
+    #: Once :meth:`NgsiService.start` has spawned the pump, it drains
+    #: admitted requests every this many sim-seconds.
     pump_interval_s: float = 1.0
     max_requests_per_tick: int = 256
-    cache_enabled: bool = True
     cache_capacity: int = 1024
-    #: Rollup periods enabled on the attached history (() = leave off).
-    rollup_periods: Tuple[float, ...] = (MINUTE_S, HOUR_S)
     default_page_limit: int = 20
     max_page_limit: int = 1000
-    #: Cap on retained request records (oldest dropped beyond this).
+    #: Cap on retained request records (oldest dropped and counted in
+    #: ``records_dropped`` beyond this).
     max_records: int = 200_000
-    #: Where STH reads come from: "auto" streams from the columnar store
-    #: when the history has one bound, "memory"/"columnar" force a path.
-    history_source: str = "auto"
 
 
 def percentile(values: List[float], p: float) -> float:
@@ -157,18 +154,15 @@ class NgsiService:
         self.history = history
         self.security = security
         self.config = config or ServiceConfig()
-        if self.config.rollup_periods:
-            history.enable_rollups(tuple(self.config.rollup_periods))
-        self.cache: Optional[ResponseCache] = (
-            ResponseCache(self.config.cache_capacity) if self.config.cache_enabled else None
-        )
-        if self.cache is not None:
-            broker.update_hooks.append(self._on_broker_write)
+        # STH aggrPeriod reads need a rollup per period the route accepts.
+        history.enable_rollups(tuple(_AGGR_PERIODS.values()))
+        self.cache = ResponseCache(self.config.cache_capacity)
+        broker.update_hooks.append(self._on_broker_write)
         self._tenants: Dict[str, Tenant] = {}
         #: At-least-once notification fan-out; None until
         #: :meth:`enable_delivery` opts in (keeps default runs untouched).
         self.delivery: Optional[DeliveryManager] = None
-        self.records: List[Dict[str, Any]] = []
+        self.records: Deque[Dict[str, Any]] = deque(maxlen=self.config.max_records)
         self._seq = 0
         self._pump = None
         self.wall_time_s = 0.0
@@ -250,9 +244,8 @@ class NgsiService:
         tenant.token = auth.oauth.client_credentials_grant(
             spec.name, spec.secret, scope="ngsi"
         ).access_token
-        if self.cache is not None:
-            for prefix in readable:
-                self.cache.register_scope(prefix)
+        for prefix in readable:
+            self.cache.register_scope(prefix)
         self._tenants[spec.name] = tenant
         return tenant
 
@@ -299,8 +292,8 @@ class NgsiService:
         return self.delivery
 
     def start(self) -> None:
-        """Spawn the pump process (queued mode; idempotent)."""
-        if self.config.queued and self._pump is None:
+        """Spawn the pump process (idempotent); ``submit`` queues from now on."""
+        if self._pump is None:
             self._pump = self.sim.spawn(self._pump_loop(), name="service-pump")
 
     def _pump_loop(self):
@@ -328,12 +321,13 @@ class NgsiService:
     # -- request path -----------------------------------------------------------
 
     def submit(self, request: Request) -> Optional[Response]:
-        """Admit a request; queued-mode admissions return None (the
+        """Admit a request.  Before :meth:`start` it executes at once and
+        returns the response; after, admissions queue and return None (the
         response lands in the record log when the pump executes them)."""
-        return self._accept(request, queue=self.config.queued and self._pump is not None)
+        return self._accept(request, queue=self._pump is not None)
 
     def handle(self, request: Request) -> Response:
-        """Synchronous path: admit and execute now, regardless of mode."""
+        """Synchronous path: admit and execute now, pump or no pump."""
         response = self._accept(request, queue=False)
         assert response is not None
         return response
@@ -435,7 +429,7 @@ class NgsiService:
         cache_state = ""
         cache_key = None
         response: Optional[Response] = None
-        if route.cacheable and self.cache is not None and tenant is not None:
+        if route.cacheable and tenant is not None:
             cache_key = ResponseCache.key(
                 tenant.name, request.method, request.path, request.params
             )
@@ -482,8 +476,6 @@ class NgsiService:
             "cache": cache_state,
             "body": response.body,
         })
-        if len(self.records) > self.config.max_records:
-            del self.records[: len(self.records) - self.config.max_records]
         return response
 
     # -- handlers -----------------------------------------------------------
@@ -521,8 +513,7 @@ class NgsiService:
         if not entity_id or not entity_type:
             raise QueryError("entity payload must carry 'id' and 'type'")
         self.broker.create_entity(entity_id, entity_type, _body_attrs(body) or None)
-        if self.cache is not None:
-            self.cache.note_write(entity_id)
+        self.cache.note_write(entity_id)
         return Response(201, None, headers={"Location": f"/v2/entities/{entity_id}"})
 
     def _h_get_entity(self, request: Request, params, tenant: Tenant) -> Response:
@@ -533,8 +524,7 @@ class NgsiService:
     def _h_delete_entity(self, request: Request, params, tenant: Tenant) -> Response:
         entity_id = params["entity_id"]
         self.broker.delete_entity(entity_id)
-        if self.cache is not None:
-            self.cache.note_write(entity_id)
+        self.cache.note_write(entity_id)
         return Response(204)
 
     def _h_update_attrs(self, request: Request, params, tenant: Tenant) -> Response:
@@ -544,8 +534,7 @@ class NgsiService:
             raise QueryError("attribute payload must not be empty")
         self.broker.get_entity(entity_id)  # 404 before write, Orion-style
         self.broker.update_attributes(entity_id, attrs)
-        if self.cache is not None:
-            self.cache.note_write(entity_id)
+        self.cache.note_write(entity_id)
         return Response(204)
 
     def _h_get_attr(self, request: Request, params, tenant: Tenant) -> Response:
@@ -572,8 +561,7 @@ class NgsiService:
                 )
             result = self.history.read(
                 HistoryQuery(entity_id, attr, since=since, until=until,
-                             period_s=period, method=method),
-                source=self.config.history_source,
+                             period_s=period, method=method)
             )
             values = [{"origin": start, method: value}
                       for start, value in result.rows]
@@ -582,14 +570,12 @@ class NgsiService:
             if last_n is not None:
                 result = self.history.read(
                     HistoryQuery(entity_id, attr,
-                                 last_n=_int_param(request, "lastN", 0, minimum=1)),
-                    source=self.config.history_source,
+                                 last_n=_int_param(request, "lastN", 0, minimum=1))
                 )
                 samples = result.rows
             else:
                 result = self.history.read(
-                    HistoryQuery(entity_id, attr, since=since, until=until),
-                    source=self.config.history_source,
+                    HistoryQuery(entity_id, attr, since=since, until=until)
                 )
                 h_offset = _int_param(request, "hOffset", 0)
                 h_limit = _int_param(
@@ -707,6 +693,11 @@ class NgsiService:
 
     # -- reporting -----------------------------------------------------------
 
+    @property
+    def records_dropped(self) -> int:
+        """Records the ``max_records`` cap evicted (every request has a seq)."""
+        return self._seq - len(self.records)
+
     def response_log(self) -> str:
         """Canonical JSON-lines log of every record (the bit-identity artifact)."""
         return "\n".join(
@@ -738,21 +729,22 @@ class NgsiService:
             }
             for name, t in sorted(self._tenants.items())
         }
-        cache = None
-        if self.cache is not None:
-            cache = {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "invalidated": self.cache.invalidated,
-                "evicted": self.cache.evicted,
-                "hit_rate": self.cache.hit_rate,
-                "entries": len(self.cache),
-            }
+        cache = self.cache
         return {
-            "requests": len(self.records),
+            # Every request handled; by_status and the latencies cover the
+            # retained records only.
+            "requests": self._seq,
+            "records_dropped": self.records_dropped,
             "by_status": {str(k): v for k, v in sorted(by_status.items())},
             "tenants": tenants,
-            "cache": cache,
+            "cache": {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "invalidated": cache.invalidated,
+                "evicted": cache.evicted,
+                "hit_rate": cache.hit_rate,
+                "entries": len(cache),
+            },
             "delivery": self.delivery.report() if self.delivery is not None else None,
             "latency_s": {
                 "p50": percentile(latencies, 50.0),

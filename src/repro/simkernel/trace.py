@@ -6,16 +6,10 @@ multi-season run cannot exhaust memory: when full, the oldest records are
 dropped and counters record how many were lost — in total *and per
 category of the evicted record*, so a flood in one category that evicts
 another's history is attributable after the run.
-
-An optional deterministic sampler (see
-:func:`repro.telemetry.tracing.log_sampler`) thins records *before*
-storage: sampled-out records still count toward the per-category totals
-(``count()`` stays exact) but are neither stored nor delivered to
-listeners.
 """
 
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 
 class TraceRecord:
@@ -41,22 +35,11 @@ class TraceLog:
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         self.dropped = 0
         self.dropped_by_category: Counter = Counter()
-        self.sampled_out: Counter = Counter()
         self.counts: Counter = Counter()
-        # Optional (category, sequence) -> bool admission decision.
-        self.sampler: Optional[Callable[[str, int], bool]] = None
-        self._listeners: List[Callable[[TraceRecord], None]] = []
-
-    def set_sampler(self, sampler: Optional[Callable[[str, int], bool]]) -> None:
-        """Install a deterministic per-record admission sampler."""
-        self.sampler = sampler
 
     def emit(self, time: float, category: str, message: str, **data: Any) -> TraceRecord:
         record = TraceRecord(time, category, message, data)
         self.counts[category] += 1
-        if self.sampler is not None and not self.sampler(category, self.counts[category]):
-            self.sampled_out[category] += 1
-            return record
         if self.max_records == 0:
             # Storage disabled entirely: every record is a drop of itself.
             self.dropped += 1
@@ -68,13 +51,7 @@ class TraceLog:
             self.dropped += 1
             self.dropped_by_category[evicted.category] += 1
         self._records.append(record)
-        for listener in self._listeners:
-            listener(record)
         return record
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked synchronously on every record."""
-        self._listeners.append(listener)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -102,12 +79,7 @@ class TraceLog:
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Serializable log state: stored records plus all counters.
-
-        The sampler and listeners are callables and deliberately *not*
-        captured — they are wiring, rebuilt by whoever owns the log (the
-        factory-replay contract in ``repro.core.checkpoint``).
-        """
+        """Serializable log state: stored records plus all counters."""
         return {
             "max_records": self.max_records,
             "records": [
@@ -115,7 +87,6 @@ class TraceLog:
             ],
             "dropped": self.dropped,
             "dropped_by_category": dict(self.dropped_by_category),
-            "sampled_out": dict(self.sampled_out),
             "counts": dict(self.counts),
         }
 
@@ -128,5 +99,4 @@ class TraceLog:
         )
         self.dropped = state["dropped"]
         self.dropped_by_category = Counter(state["dropped_by_category"])
-        self.sampled_out = Counter(state["sampled_out"])
         self.counts = Counter(state["counts"])

@@ -17,7 +17,6 @@ from repro.telemetry.tracing import (
     TraceConfig,
     TraceContext,
     Tracer,
-    log_sampler,
     validate_chrome_trace,
     validate_span_trees,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "Timer",
-    "log_sampler",
     "validate_chrome_trace",
     "validate_span_trees",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "TraceConfig",
     "TraceContext",
     "Tracer",
-    "log_sampler",
     "validate_chrome_trace",
     "validate_span_trees",
 ]
@@ -59,14 +58,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def _fnv1a(text: str) -> int:
-    """Deterministic 64-bit string hash (``hash()`` is randomized)."""
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & _MASK64
-    return h
 
 
 class DeterministicSampler:
@@ -95,48 +86,21 @@ class DeterministicSampler:
         return (x >> 11) / float(1 << 53) < self.rate
 
 
-def log_sampler(seed: int, rate: float):
-    """A per-record sampler for :class:`~repro.simkernel.trace.TraceLog`.
-
-    Returns ``sample(category, sequence) -> bool``; the decision mixes
-    the category name into the hash so distinct categories thin
-    independently (category ``n``-th records don't sample in lockstep).
-    """
-    sampler = DeterministicSampler(seed, rate)
-
-    def sample(category: str, sequence: int) -> bool:
-        return sampler.sample(_fnv1a(category) ^ (sequence & _MASK64))
-
-    return sample
-
-
 class TraceConfig:
     """Tracing knobs carried by :class:`~repro.core.pilot.PilotConfig`.
 
     ``None`` on the pilot config keeps tracing off entirely (the shared
     ``NULL_TRACER`` is installed); an instance — even a default one —
-    enables it.  ``log_sample_rate`` < 1 additionally routes the
-    kernel's bounded :class:`~repro.simkernel.trace.TraceLog` through
-    :func:`log_sampler` so category logs thin deterministically too.
+    enables it, head-sampling traces at ``sample_rate``.
     """
 
-    __slots__ = ("sample_rate", "max_spans", "log_sample_rate")
+    __slots__ = ("sample_rate",)
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        max_spans: int = 200_000,
-        log_sample_rate: float = 1.0,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         self.sample_rate = sample_rate
-        self.max_spans = max_spans
-        self.log_sample_rate = log_sample_rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceConfig(sample_rate={self.sample_rate}, max_spans={self.max_spans}, "
-            f"log_sample_rate={self.log_sample_rate})"
-        )
+        return f"TraceConfig(sample_rate={self.sample_rate})"
 
 
 class TraceContext:

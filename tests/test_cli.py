@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import _parse_security, build_parser, main
+from repro.cli import build_parser, main, parse_security_spec
 
 
 class TestParser:
@@ -24,16 +24,16 @@ class TestParser:
             build_parser().parse_args(["run", "atlantis"])
 
     def test_security_parsing(self):
-        config = _parse_security("auth,encryption")
+        config = parse_security_spec("auth,encryption")
         assert config.auth and config.encryption and not config.detection
 
     def test_security_empty(self):
-        config = _parse_security("")
+        config = parse_security_spec("")
         assert not config.auth
 
     def test_security_unknown_flag(self):
         with pytest.raises(SystemExit):
-            _parse_security("auth,teleportation")
+            parse_security_spec("auth,teleportation")
 
 
 class TestCommands:
@@ -57,6 +57,15 @@ class TestCommands:
             ["run", "guaspari", "--days", "2", "--security", "auth"], out=out
         ) == 0
         assert "guaspari" in out.getvalue()
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("flag", ["--store-flush", "--store-segment-bytes"])
+    def test_zero_store_flag_exits_with_the_library_message(self, tmp_path, command, flag):
+        # A zero reaches the store as given (no silent swap for the
+        # default), which refuses it; the CLI prints that as an error line.
+        with pytest.raises(SystemExit, match="must be positive"):
+            main([command, "matopiba", "--days", "0.1",
+                  "--store", str(tmp_path / "wal"), flag, "0"], out=io.StringIO())
 
     def test_run_prints_metrics_summary(self):
         out = io.StringIO()

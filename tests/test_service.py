@@ -32,14 +32,13 @@ FARM_PREFIX = "urn:AgriParcel:demo:"
 OPS_PREFIX = "urn:Ops:demo:"
 
 
-def make_service(queued=False, **config_kwargs):
+def make_service(**config_kwargs):
     sim = Simulator(seed=11)
     broker = ContextBroker(sim)
     history = ShortTermHistory(broker)
     security = SecurityStack(sim, "demo", SecurityConfig())
     service = NgsiService(
-        sim, broker, history, security,
-        ServiceConfig(queued=queued, **config_kwargs),
+        sim, broker, history, security, ServiceConfig(**config_kwargs),
     )
     return service
 
@@ -264,7 +263,7 @@ class TestQuotas:
         assert service.handle(Request("GET", "/v2/entities", token=token)).status == 200
 
     def test_backlog_overflow_is_503(self):
-        service = make_service(queued=True)
+        service = make_service()
         seed_entities(service.broker)
         service.register_tenant(TenantSpec(
             "t", "s", (FARM_PREFIX,), quota=TenantQuota(100, 60.0, 2)))
@@ -281,6 +280,19 @@ class TestQuotas:
         assert len(oks) == 2
         assert all(r["done_s"] > r["at_s"] for r in oks)
         assert service.tenant("t").rejected_backlog == 2
+
+    def test_submit_answers_at_once_until_the_pump_starts(self):
+        service = make_service()
+        seed_entities(service.broker)
+        token = register_dash(service)
+        before = service.submit(Request("GET", "/v2/entities", token=token))
+        assert before is not None and before.status == 200
+        service.start()
+        assert service.submit(Request("GET", "/v2/entities", token=token)) is None
+        assert len(service.records) == 1  # queued, not yet answered
+        service.sim.run_until(2.0)
+        assert [r["status"] for r in service.records] == [200, 200]
+        assert service.records[-1]["done_s"] > service.records[-1]["at_s"]
 
 
 class TestResponseCache:
@@ -345,15 +357,6 @@ class TestResponseCache:
         service.handle(Request("GET", "/v2/entities", token=token_a))
         response = service.handle(Request("GET", "/v2/entities", token=token_b))
         assert response.headers.get("X-Cache") != "HIT"  # b's first look
-
-    def test_disabled_cache_never_hits(self):
-        service = make_service(cache_enabled=False)
-        seed_entities(service.broker)
-        token = register_dash(service)
-        for _ in range(3):
-            response = service.handle(Request("GET", "/v2/entities", token=token))
-            assert "X-Cache" not in response.headers
-        assert service.cache is None
 
 
 class TestSthApi:
@@ -555,3 +558,15 @@ class TestResponseLog:
         assert report["cache"]["hits"] == 2
         assert 0.0 <= report["cache"]["hit_rate"] <= 1.0
         assert set(report["latency_s"]) == {"p50", "p95", "p99", "max"}
+
+    def test_record_cap_counts_what_it_drops(self):
+        service = make_service(max_records=3)
+        seed_entities(service.broker)
+        token = register_dash(service)
+        for _ in range(5):
+            service.handle(Request("GET", "/v2/entities", token=token))
+        report = service.report()
+        assert report["requests"] == 5
+        assert report["records_dropped"] == 2
+        assert [r["seq"] for r in service.records] == [3, 4, 5]  # newest kept
+        assert sum(report["by_status"].values()) == 3

@@ -579,13 +579,6 @@ class TestTrace:
         assert sim.trace.dropped == 3
         assert sim.trace.count("c") == 8  # counters survive eviction
 
-    def test_listener_invoked(self):
-        sim = Simulator()
-        seen = []
-        sim.trace.subscribe(lambda r: seen.append(r.category))
-        sim.trace.emit(0.0, "x", "m")
-        assert seen == ["x"]
-
 
 class TestDeterminism:
     def test_full_run_reproducible(self):

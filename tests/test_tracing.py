@@ -1,17 +1,19 @@
 """Causal tracing and profiling: samplers, span trees, end-to-end chains.
 
 Covers the determinism contracts (seeded head sampling, bit-identical
-reports with tracing on or off), the TraceLog drop/sample accounting,
+reports with tracing on or off), the TraceLog drop accounting,
 the span-tree invariants as a property across seeds, Chrome-trace export
 round-trips, and full sensor→actuation chain reconstruction on a real
 pilot run through the ``run(RunOptions(...))`` entrypoint.
 """
 
 import dataclasses
+import io
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.pilots import build_matopiba_pilot
 from repro.core.run import RunOptions, run
 from repro.simkernel.trace import TraceLog
@@ -23,7 +25,6 @@ from repro.telemetry import (
     TraceConfig,
     TraceContext,
     Tracer,
-    log_sampler,
     validate_chrome_trace,
     validate_span_trees,
 )
@@ -75,19 +76,6 @@ class TestDeterministicSampler:
         assert [a.sample(i) for i in range(200)] != [b.sample(i) for i in range(200)]
 
 
-class TestLogSampler:
-    def test_deterministic(self):
-        a, b = log_sampler(5, 0.4), log_sampler(5, 0.4)
-        seq = [("mqtt", i) for i in range(200)] + [("fog", i) for i in range(200)]
-        assert [a(c, i) for c, i in seq] == [b(c, i) for c, i in seq]
-
-    def test_categories_thin_independently(self):
-        sample = log_sampler(0, 0.5)
-        mqtt = [sample("mqtt", i) for i in range(500)]
-        fog = [sample("fog", i) for i in range(500)]
-        assert mqtt != fog  # not in lockstep
-
-
 class TestTraceLogAccounting:
     def test_eviction_attributes_drop_to_evicted_category(self):
         log = TraceLog(max_records=3)
@@ -107,29 +95,6 @@ class TestTraceLogAccounting:
         assert log.dropped == 2
         assert log.dropped_by_category == {"a": 1, "b": 1}
         assert log.counts == {"a": 1, "b": 1}  # totals stay exact
-
-    def test_sampled_out_records_counted_not_stored(self):
-        log = TraceLog(max_records=100)
-        log.set_sampler(lambda category, seq: False)
-        seen = []
-        log.subscribe(seen.append)
-        record = log.emit(0.0, "mqtt", "dropped by sampler")
-        assert record.category == "mqtt"  # caller still gets the record
-        assert len(log) == 0 and seen == []
-        assert log.sampled_out == {"mqtt": 1}
-        assert log.counts == {"mqtt": 1}
-
-    def test_sampler_thins_deterministically(self):
-        def run_once():
-            log = TraceLog(max_records=10_000)
-            log.set_sampler(log_sampler(9, 0.3))
-            for i in range(1000):
-                log.emit(float(i), "telemetry", "m", i=i)
-            return [r.data["i"] for r in log]
-
-        first, second = run_once(), run_once()
-        assert first == second
-        assert 0 < len(first) < 1000
 
 
 class TestTracerLifecycle:
@@ -325,12 +290,15 @@ class TestRunEntrypoint:
         assert dataclasses.asdict(full.report) == dataclasses.asdict(sampled.report)
 
     def test_trace_path_written(self, tmp_path):
+        # run() writes no files; the CLI's --trace exports the tracer.
         path = tmp_path / "run-trace.json"
-        result = run(RunOptions(pilot="matopiba", trace_path=str(path),
-                                pilot_kwargs=dict(SMALL_PILOT)))
-        assert result.runner.tracer.enabled  # trace_path implies tracing
+        out = io.StringIO()
+        assert main(["run", "matopiba", "--days", "0.2", "--trace", str(path)],
+                    out=out) == 0
         data = json.loads(path.read_text())
+        assert data["traceEvents"]
         assert validate_chrome_trace(data) == []
+        assert f"trace written to {path} ({len(data['traceEvents'])} spans)" in out.getvalue()
 
     def test_unknown_pilot_rejected(self):
         with pytest.raises(ValueError, match="unknown pilot"):
