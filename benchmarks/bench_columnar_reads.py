@@ -260,7 +260,8 @@ def main(argv=None) -> int:
           f"{stats['wal_records']} in the WAL tail")
     for row in reads:
         print("  {:<16} rows {:>6}  identical {!s:<5}  scanned {:>7}  "
-              "pruned blocks {:>5}  col {:>7.2f}ms  mem {:>7.2f}ms".format(*row))
+              "pruned blocks {:>5}  scanned blocks {:>5}  col {:>7.2f}ms  "
+              "mem {:>7.2f}ms".format(*row))
     print(f"window scan fraction: {stats['window_scan_fraction']:.1%}")
     print(f"kill matrix: {len(kills)} points, "
           f"{sum(r[2] for r in kills)} lost")

@@ -15,7 +15,11 @@ aggregate queries then stream from chunks with zone-map pruning
 memory — and because pruning only ever *skips* blocks that cannot match
 (never substitutes zone-map aggregates for the samples), every fold
 happens in append order and results are bit-identical to the in-memory
-path wherever both retain the data.
+path wherever both retain the data.  A read unpacks only the queried
+series' two columns of each chunk it opens (:func:`decode_series`, after
+the same magic, header, length and whole-file CRC checks a full decode
+runs) and filters the WAL tail from the store's in-memory records, so
+it touches no segment file.
 
 **Crash-safe handoff.**  A segment is deleted only after its chunk is
 sealed (tmp → fsync → rename → dir-fsync, the
@@ -57,7 +61,7 @@ from repro.context.history import (
     rollup_rows,
     window_stats,
 )
-from repro.store.durable import SegmentStore, decode_sample
+from repro.store.durable import SegmentStore, decode_sample, sample_prefix
 from repro.store.segment import (
     StoreError,
     fsync_dir,
@@ -223,7 +227,9 @@ class ChunkData:
             yield self.keys[idx] + (times[pos], values[pos])
 
 
-def decode_chunk(payload: bytes) -> ChunkData:
+def _checked_header(payload: bytes) -> Tuple[dict, int]:
+    """Header and column offset of a chunk whose length is what its
+    header promises (magic, header and length checks)."""
     header, offset = _header_and_offset(payload)
     expected = (offset
                 + sum(16 * entry["count"] for entry in header["series"])
@@ -233,6 +239,11 @@ def decode_chunk(payload: bytes) -> ChunkData:
             f"chunk payload length mismatch: header promises {expected} "
             f"bytes, got {len(payload)}"
         )
+    return header, offset
+
+
+def decode_chunk(payload: bytes) -> ChunkData:
+    header, offset = _checked_header(payload)
     series: Dict[Tuple[str, str], Tuple[tuple, tuple]] = {}
     keys: List[Tuple[str, str]] = []
     for entry in header["series"]:
@@ -246,6 +257,23 @@ def decode_chunk(payload: bytes) -> ChunkData:
         keys.append(key)
     order = struct.unpack_from(f"<{header['records']}I", payload, offset)
     return ChunkData(header, series, order, keys)
+
+
+def decode_series(payload: bytes, entity_id: str,
+                  attr: str) -> Tuple[tuple, tuple]:
+    """One series' ``(times, values)`` columns; nothing else is unpacked.
+
+    Runs :func:`decode_chunk`'s checks first; raises :class:`StoreError`
+    when the chunk holds no such series.
+    """
+    header, offset = _checked_header(payload)
+    for entry in header["series"]:
+        count = entry["count"]
+        if entry["entity"] == entity_id and entry["attr"] == attr:
+            return (struct.unpack_from(f"<{count}d", payload, offset),
+                    struct.unpack_from(f"<{count}d", payload, offset + 8 * count))
+        offset += 16 * count
+    raise StoreError(f"chunk holds no series ({entity_id!r}, {attr!r})")
 
 
 # -- retention ---------------------------------------------------------------
@@ -381,6 +409,12 @@ class ColumnarStore:
 
     def read_chunk(self, index: int) -> ChunkData:
         return decode_chunk(read_sealed(chunk_path(self.root, index)))
+
+    def read_series(self, index: int, entity_id: str,
+                    attr: str) -> Tuple[tuple, tuple]:
+        """One series' columns of chunk ``index`` (see :func:`decode_series`)."""
+        return decode_series(read_sealed(chunk_path(self.root, index)),
+                             entity_id, attr)
 
     def note_compacted(self, index: int, records: int) -> None:
         """Commit the handoff of segment ``index`` (meta write)."""
@@ -690,14 +724,19 @@ class ColumnarReader:
     """Answers :class:`HistoryQuery` reads from chunks + the WAL tail.
 
     Chunks hold the old, compacted majority of every series; the WAL's
-    resident records are the fresh tail.  Reads stream chunk-by-chunk in
-    append order — memory stays bounded by the answer plus one decoded
-    chunk — and the zone maps prune whole blocks (and whole chunks, via
-    the cached headers, without touching the file) that cannot
-    intersect the query window.  Zone maps are never used to *answer*
-    anything: every surviving sample is re-folded in append order
-    through the history tier's one :func:`~repro.context.history.fold`,
-    which is what keeps results bit-identical to the in-memory path.
+    resident records are the fresh tail, served from the store's
+    in-memory copy (:meth:`SegmentStore.resident`) and filtered by the
+    series' payload prefix, so only the queried series' records are
+    decoded.  Reads stream chunk-by-chunk in append order, unpacking
+    only the queried series' two columns of each chunk — memory stays
+    bounded by the answer, one series' columns and references to the
+    resident WAL payloads — and the zone maps prune whole blocks (and
+    whole chunks, via the cached headers, without touching the file)
+    that cannot intersect the query window.  Zone maps are never used to
+    *answer* anything: every surviving sample is re-folded in append
+    order through the history tier's one
+    :func:`~repro.context.history.fold`, which is what keeps results
+    bit-identical to the in-memory path.
     """
 
     def __init__(self, columnar: ColumnarStore, store: SegmentStore) -> None:
@@ -707,12 +746,9 @@ class ColumnarReader:
     # -- sources -------------------------------------------------------------
 
     def _wal_samples(self, entity_id: str, attr: str) -> List[Tuple[float, float]]:
-        rows: List[Tuple[float, float]] = []
-        for payload in self.store.read_all():
-            eid, a, t, v = decode_sample(payload)
-            if eid == entity_id and a == attr:
-                rows.append((t, v))
-        return rows
+        prefix = sample_prefix(entity_id, attr)
+        return [decode_sample(payload)[2:] for payload in self.store.resident()
+                if payload.startswith(prefix)]
 
     def _series_entry(self, index: int, entity_id: str, attr: str):
         for entry in self.columnar.header(index)["series"]:
@@ -740,8 +776,7 @@ class ColumnarReader:
                     or min(b[1] for b in blocks) > hi):
                 pruned_blocks += len(blocks)
                 continue
-            times, values = self.columnar.read_chunk(index).series[
-                (entity_id, attr)]
+            times, values = self.columnar.read_series(index, entity_id, attr)
             pos = 0
             for block in blocks:
                 count = int(block[0])
@@ -793,8 +828,8 @@ class ColumnarReader:
                 entry = self._series_entry(index, query.entity_id, query.attr)
                 if entry is None:
                     continue
-                times, values = self.columnar.read_chunk(index).series[
-                    (query.entity_id, query.attr)]
+                times, values = self.columnar.read_series(
+                    index, query.entity_id, query.attr)
                 older = list(zip(times, values)) + older
                 touched.add(index)
                 scanned += entry["count"]
@@ -851,12 +886,20 @@ class ColumnarReader:
 
 
 def open_columnar_reader(root: str) -> ColumnarReader:
-    """Open a store directory for streaming reads (the serve/CLI path).
+    """Open an existing store directory for reads (the serve/CLI path).
 
-    Reconciles any interrupted handoff first, so reads never observe a
-    record on both sides of the WAL↔chunk boundary.
+    Raises :class:`StoreError` when ``root`` is not a directory, before
+    creating anything.  Reconciles any interrupted handoff first, so
+    reads never observe a record on both sides of the WAL↔chunk
+    boundary, then closes the store's append handle: the WAL tail is
+    served from the records read at open, which a closed store keeps.
     """
+    if not os.path.isdir(root):
+        raise StoreError(f"no store directory at {root!r}")
     store = SegmentStore(root)
-    columnar = ColumnarStore(root)
-    reconcile(columnar, store)
+    try:
+        columnar = ColumnarStore(root)
+        reconcile(columnar, store)
+    finally:
+        store.close()
     return ColumnarReader(columnar, store)

@@ -10,6 +10,14 @@ one opens), so only the *last* segment can ever hold a torn tail.
 order, verify every checksum, truncate the first bad frame and
 everything after it, and hand back the surviving record prefix.
 
+The store also keeps every resident record's payload in memory, per
+segment (:meth:`~SegmentStore.resident`), so reads of the fresh WAL
+tail never touch the files: the WAL is read only at open, by
+:meth:`~SegmentStore.recover` and by compaction, and the last two fail
+loudly on a damaged sealed segment.  :meth:`~SegmentStore.read_all`
+stays the on-disk view that tests and audits compare the memory copy
+against.
+
 :class:`DurabilityService` wires the store behind
 :class:`~repro.context.history.ShortTermHistory`: every sample the
 history accepts is framed and appended write-through, and a sim-time
@@ -31,7 +39,8 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.store.backend import (
     AppendFile,
@@ -64,13 +73,33 @@ def encode_sample(entity_id: str, attr: str, t: float, v: float) -> bytes:
     return json.dumps([entity_id, attr, t, v], separators=(",", ":")).encode("utf-8")
 
 
+def sample_prefix(entity_id: str, attr: str) -> bytes:
+    """The bytes every :func:`encode_sample` payload of one series starts with.
+
+    JSON string literals are prefix-free, so a payload starts with this
+    prefix exactly when it decodes to ``(entity_id, attr, ...)``.
+    """
+    head = json.dumps([entity_id, attr], separators=(",", ":"))
+    return head[:-1].encode("utf-8") + b","
+
+
 def decode_sample(payload: bytes) -> SampleRecord:
     entity_id, attr, t, v = json.loads(payload.decode("utf-8"))
     return (entity_id, attr, float(t), float(v))
 
 
 class SegmentStore:
-    """Append-only, checksummed, crash-recoverable record log."""
+    """Append-only, checksummed, crash-recoverable record log.
+
+    ``_resident`` maps each resident segment's index to its payloads in
+    append order (keys inserted in ascending segment order), holding the
+    very bytes objects :meth:`append` received.  It is filled by the scan
+    at open, extended by :meth:`append`, rebuilt from :meth:`recover`'s
+    verified scan and shrunk by :meth:`drop_segment`; :meth:`close`
+    keeps it.  :meth:`crash` discards it, and :meth:`resident` raises
+    until :meth:`recover` runs, so no read can serve a record the crash
+    lost.
+    """
 
     def __init__(
         self,
@@ -91,12 +120,8 @@ class SegmentStore:
         self.recoveries = 0
         self.torn_tails_truncated = 0
         self.dropped_segments = 0
-        #: Byte length of each record in the active segment past the
-        #: durable watermark is implied by the frames themselves; what we
-        #: track is per-segment record counts for recovery accounting.
         self._active: Optional[AppendFile] = None
         self._active_index = 0
-        self._records_in_active = 0
         self._open_tail()
         #: Records resident in the WAL (a reused directory archives
         #: across runs, so opening scans what is already there; records
@@ -104,6 +129,7 @@ class SegmentStore:
         self.appended = 0
         #: Resident records covered by a successful barrier.
         self.committed = 0
+        self._resident: Optional[Dict[int, List[bytes]]] = {}
         self._adopt_resident()
 
     # -- lifecycle ---------------------------------------------------------
@@ -122,7 +148,7 @@ class SegmentStore:
             fsync_dir(self._active.path)
 
     def _adopt_resident(self) -> None:
-        """Count the records already on disk (reused directory).
+        """Load and count the records already on disk (reused directory).
 
         Everything that survived to this open is treated as committed —
         the same stance :meth:`recover` takes — so sequence accounting
@@ -130,11 +156,14 @@ class SegmentStore:
         """
         for index, path in segments_in(self.root):
             with open(path, "rb") as fh:
-                count = len(scan_records(fh.read()).payloads)
-            self.appended += count
-            self.committed += count
-            if index == self._active_index:
-                self._records_in_active = count
+                payloads = scan_records(fh.read()).payloads
+            self._resident[index] = payloads
+            self.appended += len(payloads)
+            self.committed += len(payloads)
+
+    @property
+    def _records_in_active(self) -> int:
+        return len(self._resident[self._active_index])
 
     def close(self) -> None:
         if self._active is not None:
@@ -162,9 +191,9 @@ class SegmentStore:
             # Repair: roll back the partial frame, write it again whole.
             self._active.truncate_to(before)
             self._active.append(frame)
+        self._resident[self._active_index].append(payload)
         seq = self.appended
         self.appended += 1
-        self._records_in_active += 1
         if self._active.written_bytes >= self.max_segment_bytes:
             self._rotate()
         return seq
@@ -210,7 +239,7 @@ class SegmentStore:
             segment_path(self.root, self._active_index), self.faults, fresh=True
         )
         fsync_dir(self._active.path)
-        self._records_in_active = 0
+        self._resident[self._active_index] = []
         self.rotations += 1
 
     # -- crash / recovery --------------------------------------------------
@@ -220,12 +249,14 @@ class SegmentStore:
 
         The durable prefix survives; of the volatile tail, an arbitrary
         ``surviving_tail_bytes`` prefix survives (possibly ending inside
-        a record).  The store is left closed; :meth:`recover` reopens it.
+        a record).  The store is left closed, and its in-memory records
+        are gone with the process; :meth:`recover` reopens it.
         """
         if self._active is None:
             raise StoreError("store is closed")
         self._active.crash(surviving_tail_bytes)
         self._active = None
+        self._resident = None
 
     def recover(self) -> List[bytes]:
         """Scan all segments, truncate the torn tail, reopen for append.
@@ -238,6 +269,7 @@ class SegmentStore:
         """
         ordered = segments_in(self.root)
         payloads: List[bytes] = []
+        resident: Dict[int, List[bytes]] = {}
         for position, (index, path) in enumerate(ordered):
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -254,16 +286,35 @@ class SegmentStore:
                     fh.flush()
                     os.fsync(fh.fileno())
                 self.torn_tails_truncated += 1
+            resident[index] = result.payloads
             payloads.extend(result.payloads)
         self.appended = len(payloads)
         self.committed = len(payloads)
         self.recoveries += 1
         self._open_tail()
-        self._records_in_active = 0
+        # An empty directory reopens with a fresh segment 0.
+        resident.setdefault(self._active_index, [])
+        self._resident = resident
         return payloads
 
+    def resident(self) -> Iterator[bytes]:
+        """Every resident record's payload in append order, from memory.
+
+        The read path's view of the WAL tail: it equals :meth:`read_all`
+        while the files are intact, without reading them.  Raises
+        :class:`StoreError` between :meth:`crash` and :meth:`recover`.
+        """
+        if self._resident is None:
+            raise StoreError("store crashed; recover() before reading it")
+        return chain.from_iterable(self._resident.values())
+
     def read_all(self) -> List[bytes]:
-        """Every record currently on disk (no truncation, no reopen)."""
+        """Every record currently on disk (no truncation, no reopen).
+
+        The on-disk view, scanned afresh on each call; the read path
+        uses :meth:`resident` instead, and tests and audits compare the
+        two.
+        """
         payloads: List[bytes] = []
         if self._active is not None:
             self._active._fh.flush()
@@ -302,6 +353,8 @@ class SegmentStore:
         if os.path.exists(path):
             os.unlink(path)
             fsync_dir(path)
+        if self._resident is not None:
+            self._resident.pop(index, None)
         self.appended = max(0, self.appended - records)
         self.committed = max(0, self.committed - records)
         self.dropped_segments += 1

@@ -7,6 +7,7 @@ chunks deterministically, and a kill at any compaction crash point
 recovers to exactly the reads an uninterrupted run serves.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -28,7 +29,9 @@ from repro.store import (
     encode_chunk,
     open_columnar_reader,
 )
-from repro.store.columnar import SAMPLE_BYTES, chunk_header
+from repro.store.columnar import SAMPLE_BYTES, chunk_header, chunks_in
+from repro.store.durable import decode_sample, encode_sample, sample_prefix
+from repro.store.segment import RECORD_HEADER, SEGMENT_MAGIC
 
 EID = "urn:AgriParcel:demo:0-0"
 ATTR = "soilMoisture"
@@ -429,6 +432,76 @@ class TestKillPointMatrix:
         assert reads == reference["reads"]
 
 
+class TestDamagedSealedSegment:
+    def test_reads_hold_and_compaction_refuses(self, tmp_path):
+        sim, broker, history, service, compaction = columnar_fixture(tmp_path)
+        feed(sim, broker, 30)
+        service.flush_now()
+        _index, path = service.store.sealed_segments()[0]
+        with open(path, "r+b") as fh:
+            fh.seek(len(SEGMENT_MAGIC) + RECORD_HEADER.size + 5)
+            byte = fh.read(1)
+            fh.seek(-1, 1)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        # The disk view stops at the damaged frame; reads never used it.
+        assert len(service.store.read_all()) < 30
+        assert_reads_match(history)
+        next_segment = compaction.columnar.next_segment
+        with pytest.raises(StoreError, match="is torn.*refusing to compact"):
+            compaction.compact_once()
+        assert chunks_in(str(tmp_path)) == []
+        assert compaction.columnar.chunk_indexes() == []
+        assert compaction.columnar.next_segment == next_segment
+        service.store.close()
+
+
+class TestSeriesIsolation:
+    """Ids and attrs that prefix each other or need JSON escaping."""
+
+    ENTITIES = ("urn:X:1", "urn:X:10", 'urn:X:"q",1', "urn:X:a\\b",
+                "urn:X:ç", "urn:X:水")
+    ATTRS = ("soil", "soilMoisture")
+
+    def test_prefix_matches_exactly_its_series(self):
+        keys = [(e, a) for e in self.ENTITIES for a in self.ATTRS]
+        payloads = [encode_sample(e, a, 1.0, 2.0) for e, a in keys]
+        for key in keys:
+            prefix = sample_prefix(*key)
+            assert [decode_sample(p)[:2] for p in payloads
+                    if p.startswith(prefix)] == [key]
+
+    def test_each_read_returns_its_own_series(self, tmp_path):
+        # The broker refuses the escaped ids, so the samples go straight
+        # to the write-through sink and the oracle is a history rebuilt
+        # from the same samples.
+        sim, broker, history, service, compaction = columnar_fixture(
+            tmp_path, segment_bytes=2000)
+        samples = [(eid, attr, 10.0 * (i + 1), 0.01 * (7 * i + j) + k)
+                   for i in range(40)
+                   for j, eid in enumerate(self.ENTITIES)
+                   for k, attr in enumerate(self.ATTRS)]
+        for sample in samples:
+            service.on_sample(*sample)
+        service.flush_now()
+        compaction.compact_once()
+        # Both sides of the WAL→chunk boundary hold data.
+        assert compaction.columnar.chunk_indexes()
+        assert list(service.store.resident())
+        oracle = ShortTermHistory(ContextBroker(Simulator(seed=0)),
+                                  rollup_periods=(MINUTE_S,))
+        oracle.rebuild_from_samples(samples)
+        for eid in self.ENTITIES:
+            for attr in self.ATTRS:
+                for shape in ALL_SHAPES:
+                    query = dataclasses.replace(shape, entity_id=eid, attr=attr)
+                    mem = oracle.read(query, source="memory")
+                    col = compaction.reader.read(query)
+                    assert (col.rows, col.stats) == (mem.rows, mem.stats), query
+                raw = HistoryQuery(eid, attr)
+                assert len(compaction.reader.read(raw).rows) == 40
+        service.store.close()
+
+
 class TestFlushCoalescing:
     def test_same_instant_barrier_is_coalesced(self, tmp_path):
         # A large segment keeps rotation (its own durability barrier)
@@ -481,6 +554,27 @@ class TestOfflineReader:
             got = offline.read(query)
             assert got.rows == expected.rows
             assert got.stats == expected.stats
+
+    def test_missing_path_is_refused_and_not_created(self, tmp_path):
+        missing = tmp_path / "no-such-store"
+        with pytest.raises(StoreError, match="no-such-store"):
+            open_columnar_reader(str(missing))
+        assert not missing.exists()
+
+    def test_reader_closes_the_store_it_opens(self, tmp_path):
+        # The writer stays open beside the reader, as after a live run.
+        sim, broker, history, service, compaction = columnar_fixture(tmp_path)
+        feed(sim, broker, 150)
+        service.flush_now()
+        compaction.compact_once()
+        reader = open_columnar_reader(str(tmp_path))
+        for query in ALL_SHAPES:
+            live = history.read(query, source="columnar")
+            got = reader.read(query)
+            assert (got.rows, got.stats) == (live.rows, live.stats)
+        with pytest.raises(StoreError, match="store is closed"):
+            reader.store.append(b"x")
+        service.store.close()
 
     def test_offline_reader_rejects_bad_query(self, tmp_path):
         sim, broker, history, service, compaction = columnar_fixture(tmp_path)

@@ -8,6 +8,7 @@ the rebuilt history serves exactly the reads that prefix implies.
 """
 
 import os
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 from repro.simkernel.simulator import Simulator
 from repro.store import (
+    CompactionKilled,
     CorruptBlobError,
     DurabilityService,
     ScanResult,
@@ -229,6 +231,93 @@ class TestCrashRecoveryProperty:
         log_samples = [decode_sample(p) for p in service.store.read_all()]
         assert [(t, v) for _e, _a, t, v in log_samples] == \
             history.read(HistoryQuery(EID, ATTR), source="memory").rows
+
+
+class TestResidentTail:
+    """The in-memory WAL tail reads are served from equals the disk."""
+
+    #: Surviving volatile-tail bytes a crash leaves: none, part of a
+    #: frame header, part of a payload, whole frames.
+    CUTS = (0, 3, 17, 60, 10_000)
+
+    def rig(self, root):
+        sim = Simulator(seed=3)
+        broker = ContextBroker(sim)
+        history = ShortTermHistory(broker)
+        broker.create_entity(EID, "AgriParcel")
+        faults = StorageFaults()
+        store = SegmentStore(str(root), max_segment_bytes=400, faults=faults)
+        # No flush pump: the test issues every barrier itself.
+        service = DurabilityService(sim, history, store, flush_interval_s=1e9)
+        compaction = service.enable_compaction(interval_s=1e9, block_size=4)
+        return sim, broker, store, compaction, faults
+
+    @staticmethod
+    def crash_and_recover(store, compaction, surviving):
+        store.crash(surviving_tail_bytes=surviving)
+        with pytest.raises(StoreError, match="recover"):
+            store.resident()
+        compaction.recover()
+        store.recover()
+
+    def test_resident_equals_disk_after_every_step(self, tmp_path):
+        ops = ("append", "torn", "commit", "stall", "lose_fsync", "compact", "crash")
+        weights = (50, 6, 10, 5, 5, 12, 8)
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            sim, broker, store, compaction, faults = self.rig(tmp_path / f"seed-{seed}")
+            crashes = 0
+            for step in range(300):
+                op = rng.choices(ops, weights)[0]
+                if op in ("append", "torn"):
+                    if op == "torn":
+                        faults.arm_torn_write(rng.random())
+                    sim.run_until(sim.now + 10.0)
+                    broker.update_attributes(EID, {ATTR: rng.random()})
+                elif op == "commit":
+                    store.commit()
+                elif op == "stall":
+                    faults.stalled = not faults.stalled
+                elif op == "lose_fsync":
+                    faults.fsync_lost = not faults.fsync_lost
+                elif op == "compact":
+                    compaction.kill_after = rng.choice(
+                        (None, "chunk_sealed", "meta_written"))
+                    try:
+                        compaction.compact_once()
+                    except CompactionKilled:
+                        self.crash_and_recover(store, compaction, rng.choice(self.CUTS))
+                        crashes += 1
+                    compaction.kill_after = None
+                else:
+                    self.crash_and_recover(store, compaction, rng.choice(self.CUTS))
+                    crashes += 1
+                assert list(store.resident()) == store.read_all(), (seed, step, op)
+            # Every mechanism the property is about actually ran.
+            assert store.rotations and store.dropped_segments and crashes
+            assert faults.torn_writes and store.torn_tails_truncated
+            assert store.deferred_commits and store.failed_commits
+            faults.stalled = faults.fsync_lost = False
+            store.close()
+            assert list(store.resident()) == store.read_all()
+            reopened = SegmentStore(str(tmp_path / f"seed-{seed}"),
+                                    max_segment_bytes=400)
+            assert list(reopened.resident()) == store.read_all()
+            reopened.close()
+
+    def test_resident_raises_between_crash_and_recover(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        for p in payloads_for(8):
+            store.append(p)
+        store.commit()
+        for p in payloads_for(12, start=8):
+            store.append(p)
+        store.crash(surviving_tail_bytes=5)
+        with pytest.raises(StoreError, match="recover"):
+            store.resident()
+        store.recover()
+        assert list(store.resident()) == payloads_for(8) == store.read_all()
+        store.close()
 
 
 class TestFaultPlanIntegration:
