@@ -15,7 +15,7 @@ north port, exactly as FIWARE's IoT Agents do:
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.context.broker import ContextBroker
 from repro.devices.codec import decode_payload, encode_payload
@@ -89,10 +89,14 @@ class IoTAgent:
         self.command_observers = []
         labels = {"agent": address}
         registry = sim.metrics
-        self._m_measures = registry.counter("iota.measures_processed", labels)
-        self._m_dropped = registry.counter("iota.measures_dropped_unprovisioned", labels)
-        self._m_commands = registry.counter("iota.commands_sent", labels)
-        self._m_acks = registry.counter("iota.command_acks", labels)
+        stats = self.stats
+        registry.register_counter(
+            "iota.measures_processed", lambda: stats.measures_processed, labels)
+        registry.register_counter(
+            "iota.measures_dropped_unprovisioned",
+            lambda: stats.measures_dropped_unprovisioned, labels)
+        registry.register_counter("iota.commands_sent", lambda: stats.commands_sent, labels)
+        registry.register_counter("iota.command_acks", lambda: stats.command_acks, labels)
 
     def start(self) -> None:
         self.client.connect()
@@ -112,12 +116,6 @@ class IoTAgent:
     def deprovision(self, device_id: str) -> None:
         self.provisions.pop(device_id, None)
 
-    def provision_for_entity(self, entity_id: str) -> Optional[DeviceProvision]:
-        for provision in self.provisions.values():
-            if provision.entity_id == entity_id:
-                return provision
-        return None
-
     # -- south -> north (measures) ---------------------------------------------
 
     def _device_id_from_topic(self, topic: str) -> str:
@@ -128,7 +126,6 @@ class IoTAgent:
         provision = self.provisions.get(device_id)
         if provision is None:
             self.stats.measures_dropped_unprovisioned += 1
-            self._m_dropped.inc()
             self.sim.trace.emit(
                 self.sim.now, "iota", "unprovisioned device dropped",
                 farm=self.farm, device=device_id,
@@ -147,7 +144,6 @@ class IoTAgent:
             metadata[entity_attr] = {"sourceDevice": device_id, "measuredAt": timestamp}
         if attrs:
             self.stats.measures_processed += 1
-            self._m_measures.inc()
             tracer = self.sim.tracer
             if tracer.enabled:
                 with tracer.span(
@@ -184,7 +180,6 @@ class IoTAgent:
             )
             if sent:
                 self.stats.commands_sent += 1
-                self._m_commands.inc()
                 for observer in self.command_observers:
                     observer(device_id, command, self.sim.now)
                 self.context_broker.ensure_entity(provision.entity_id, provision.entity_type)
@@ -204,7 +199,6 @@ class IoTAgent:
             self.stats.decode_failures += 1
             return
         self.stats.command_acks += 1
-        self._m_acks.inc()
         name = ack.get("cmd", "cmd")
         result = ack.get("result", "OK")
         with self.sim.tracer.span(

@@ -53,7 +53,8 @@ def _coerce_filters(filters: Optional[List[Union[str, AttrFilter]]]) -> List[Att
 
 
 class BrokerMetrics:
-    __slots__ = ("creates", "updates", "queries", "deletes", "notifications")
+    __slots__ = ("creates", "updates", "queries", "deletes", "notifications",
+                 "notifications_throttled", "dispatch_candidates", "backpressure_shed")
 
     def __init__(self) -> None:
         self.creates = 0
@@ -61,6 +62,11 @@ class BrokerMetrics:
         self.queries = 0
         self.deletes = 0
         self.notifications = 0
+        self.notifications_throttled = 0
+        # Candidate subscriptions the index yielded per dispatch; a full
+        # scan would examine every subscription instead.
+        self.dispatch_candidates = 0
+        self.backpressure_shed = 0
 
 
 class ContextBroker:
@@ -92,16 +98,18 @@ class ContextBroker:
         self.update_limit = None
         labels = {"broker": name}
         registry = sim.metrics
-        self._m_creates = registry.counter("context.creates", labels)
-        self._m_updates = registry.counter("context.updates", labels)
-        self._m_deletes = registry.counter("context.deletes", labels)
-        self._m_queries = registry.counter("context.queries", labels)
-        self._m_notifications = registry.counter("context.notifications", labels)
-        self._m_throttled = registry.counter("context.notifications_throttled", labels)
-        # Candidate subscriptions the index yielded per dispatch; a full
-        # scan would examine every subscription instead.
-        self._m_dispatch_candidates = registry.counter("context.dispatch_candidates", labels)
-        self._m_shed = registry.counter("context.backpressure_shed", labels)
+        counts = self.metrics
+        registry.register_counter("context.creates", lambda: counts.creates, labels)
+        registry.register_counter("context.updates", lambda: counts.updates, labels)
+        registry.register_counter("context.deletes", lambda: counts.deletes, labels)
+        registry.register_counter("context.queries", lambda: counts.queries, labels)
+        registry.register_counter("context.notifications", lambda: counts.notifications, labels)
+        registry.register_counter(
+            "context.notifications_throttled", lambda: counts.notifications_throttled, labels)
+        registry.register_counter(
+            "context.dispatch_candidates", lambda: counts.dispatch_candidates, labels)
+        registry.register_counter(
+            "context.backpressure_shed", lambda: counts.backpressure_shed, labels)
         self._m_query_latency = registry.timer("context.query_latency_s", labels)
         registry.register_callback(
             "context.entities", lambda: float(len(self.entities)), labels
@@ -122,7 +130,6 @@ class ContextBroker:
         self.entities[entity_id] = entity
         self._type_index.setdefault(entity_type, {})[entity_id] = None
         self.metrics.creates += 1
-        self._m_creates.inc()
         if attrs:
             self.update_attributes(entity_id, attrs)
         else:
@@ -173,7 +180,6 @@ class ContextBroker:
                     del self._attr_index[name]
         self._pending_dispatch.pop(entity_id, None)
         self.metrics.deletes += 1
-        self._m_deletes.inc()
 
     def update_attributes(
         self,
@@ -194,7 +200,7 @@ class ContextBroker:
         """
         now = self.sim.clock.now
         if self.update_limit is not None and not self.update_limit.admit(now):
-            self._m_shed.inc()
+            self.metrics.backpressure_shed += 1
             if self.update_limit.policy is DropPolicy.REJECT:
                 raise BackpressureError(
                     f"context broker {self.name!r} shedding load"
@@ -226,7 +232,6 @@ class ContextBroker:
             changed.append(name)
         if changed:
             self.metrics.updates += 1
-            self._m_updates.inc()
             if span is None:
                 # Fast path: activate(None) would still allocate a
                 # generator context manager on every update.
@@ -299,7 +304,6 @@ class ContextBroker:
             limit = limit if limit is not None else q.limit
             filters = list(q.filters) + list(filters or [])
         self.metrics.queries += 1
-        self._m_queries.inc()
         with self._m_query_latency:
             regex = re.compile(id_pattern) if id_pattern else None
             parsed = _coerce_filters(filters)
@@ -350,7 +354,7 @@ class ContextBroker:
         # O(candidates); sorting the small candidate set by subscription
         # id reproduces the old sorted-full-scan delivery order exactly.
         candidates = self._sub_index.candidates(entity)
-        self._m_dispatch_candidates.inc(len(candidates))
+        self.metrics.dispatch_candidates += len(candidates)
         for subscription in sorted(candidates, key=lambda s: s.subscription_id):
             if not subscription.active:
                 continue
@@ -360,12 +364,11 @@ class ContextBroker:
                 continue
             if now - subscription.last_notification_time < subscription.throttling_s:
                 subscription.notifications_throttled += 1
-                self._m_throttled.inc()
+                self.metrics.notifications_throttled += 1
                 continue
             subscription.last_notification_time = now
             subscription.notifications_sent += 1
             self.metrics.notifications += 1
-            self._m_notifications.inc()
             subscription.callback(subscription.build_notification(entity, changed, now))
 
 

@@ -212,12 +212,12 @@ class DeliveryManager:
         self.breaker_deferrals = 0
         self.replayed = 0
         metrics = sim.metrics
-        self._m_accepted = metrics.counter("delivery.accepted")
-        self._m_delivered = metrics.counter("delivery.delivered")
-        self._m_duplicates = metrics.counter("delivery.duplicates")
-        self._m_dead = metrics.counter("delivery.dead_lettered")
-        self._m_rejected = metrics.counter("delivery.rejected")
-        self._m_retries = metrics.counter("delivery.retries")
+        metrics.register_counter("delivery.accepted", lambda: self.accepted)
+        metrics.register_counter("delivery.delivered", lambda: self.delivered)
+        metrics.register_counter("delivery.duplicates", lambda: self.duplicates)
+        metrics.register_counter("delivery.dead_lettered", lambda: self.dead_lettered)
+        metrics.register_counter("delivery.rejected", lambda: self.rejected)
+        metrics.register_counter("delivery.retries", lambda: self.retries)
 
     # -- registration ------------------------------------------------------
 
@@ -305,12 +305,10 @@ class DeliveryManager:
         )
         if not queue.push(item):
             self.rejected += 1
-            self._m_rejected.inc()
             return None
         self._seq += 1
         self._items.append(item)
         self.accepted += 1
-        self._m_accepted.inc()
         return item
 
     # -- the pump ----------------------------------------------------------
@@ -366,19 +364,15 @@ class DeliveryManager:
             breaker.record_success(now)
             item.status = "delivered"
             self.delivered += 1
-            self._m_delivered.inc()
             if item.duplicate:
                 self.duplicates += 1
-                self._m_duplicates.inc()
             return "delivered"
         breaker.record_failure(now)
         if item.attempts >= self.config.max_attempts:
             item.status = "dead"
             self.dead_lettered += 1
-            self._m_dead.inc()
             return "dead"
         self.retries += 1
-        self._m_retries.inc()
         item.next_attempt_at = now + self._backoff(item)
         return "retry"
 
@@ -428,20 +422,6 @@ class DeliveryManager:
             "dead": sum(1 for i in items if i.status == "dead"),
             "pending": sum(1 for i in items if i.status == "pending"),
             "items": [i.describe() for i in items[-20:]],
-        }
-
-    def tenant_status(self, tenant: str) -> Dict[str, object]:
-        queue = self._queues.get(tenant)
-        dlq = self._dlqs.get(tenant)
-        items = [i for i in self._items if i.tenant == tenant]
-        return {
-            "tenant": tenant,
-            "queue_depth": len(queue) if queue else 0,
-            "dlq_depth": len(dlq) if dlq else 0,
-            "accepted": len(items),
-            "delivered": sum(1 for i in items if i.status == "delivered"),
-            "dead": sum(1 for i in items if i.status == "dead"),
-            "pending": sum(1 for i in items if i.status == "pending"),
         }
 
     def audit(self) -> Dict[str, object]:

@@ -173,14 +173,6 @@ class SecurityStack:
                 + SecureChannel.overhead_bytes() * 0.0012
             )
 
-    def enroll_service(self, principal_id: str, secret: str, roles=("service",)) -> Optional[str]:
-        """Register a service principal; returns its access token (auth on)."""
-        if not self.config.auth:
-            return None
-        self.identity.register(principal_id, secret, kind="service",
-                               farm=self.farm, roles=set(roles))
-        return self.oauth.client_credentials_grant(principal_id, secret).access_token
-
     # -- agent + detection wiring -----------------------------------------------------
 
     def wire_agent(self, agent: IoTAgent) -> None:

@@ -49,6 +49,10 @@ class FaultInjector:
         self._endpoints: Dict[str, object] = {}
         self.injected = 0
         self.recovered = 0
+        # fault kind -> count, behind the faults.injected/recovered{kind}
+        # views (each registered when its kind first occurs).
+        self.injected_by_kind: Dict[str, int] = {}
+        self.recovered_by_kind: Dict[str, int] = {}
         self.plans_applied: List[str] = []
         # event identity -> injection sim time, while the fault is active.
         self._active: Dict[int, float] = {}
@@ -56,8 +60,6 @@ class FaultInjector:
         self._stuck_hooks: Dict[str, object] = {}
         registry = sim.metrics
         self._registry = registry
-        self._m_injected: Dict[str, object] = {}
-        self._m_recovered: Dict[str, object] = {}
         self._m_recovery: Dict[str, object] = {}
         registry.register_callback("faults.active", lambda: float(len(self._active)))
 
@@ -158,14 +160,15 @@ class FaultInjector:
 
     # -- telemetry -----------------------------------------------------------
 
-    def _counter(self, table: Dict[str, object], name: str, kind: str):
+    def _count(self, table: Dict[str, int], name: str, kind: str) -> None:
         if kind not in table:
-            table[kind] = self._registry.counter(name, {"kind": kind})
-        return table[kind]
+            table[kind] = 0
+            self._registry.register_counter(name, lambda: table[kind], {"kind": kind})
+        table[kind] += 1
 
     def _note_injected(self, event: FaultEvent) -> None:
         self.injected += 1
-        self._counter(self._m_injected, "faults.injected", event.kind).inc()
+        self._count(self.injected_by_kind, "faults.injected", event.kind)
         self._active[id(event)] = self.sim.now
         self.sim.trace.emit(
             self.sim.now, "faults", "fault injected",
@@ -175,7 +178,7 @@ class FaultInjector:
     def _note_recovered(self, event: FaultEvent) -> None:
         started = self._active.pop(id(event), None)
         self.recovered += 1
-        self._counter(self._m_recovered, "faults.recovered", event.kind).inc()
+        self._count(self.recovered_by_kind, "faults.recovered", event.kind)
         if started is not None:
             if event.kind not in self._m_recovery:
                 self._m_recovery[event.kind] = self._registry.histogram(

@@ -77,9 +77,6 @@ class FleetOptions:
     epoch_days: float = 1.0
     workers: int = 1
     executor: str = "auto"  # "auto" | "inprocess" | "multiprocessing"
-    #: Multiprocessing start method (None = "spawn", the deterministic
-    #: and platform-portable choice).
-    start_method: Optional[str] = None
 
     def validate(self) -> None:
         if not self.farms:

@@ -31,6 +31,8 @@ from repro.fleet.shard import (
 _MEAN_FIELDS = ("relative_yield",)
 #: Report fields where the fleet total is the maximum across farms.
 _MAX_FIELDS = ("season_days",)
+#: Multiprocessing start method: "spawn" is deterministic and portable.
+_START_METHOD = "spawn"
 
 
 @dataclass
@@ -134,7 +136,7 @@ def _run_inprocess(tasks) -> List[ShardResult]:
 def _run_multiprocessing(tasks, options: FleetOptions) -> List[ShardResult]:
     from multiprocessing import get_context
 
-    ctx = get_context(options.start_method or "spawn")
+    ctx = get_context(_START_METHOD)
     processes = min(options.workers, len(tasks))
     with ctx.Pool(processes=processes) as pool:
         return pool.map(run_shard, tasks, chunksize=1)

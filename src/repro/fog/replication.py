@@ -142,11 +142,12 @@ class Replicator:
         self.batches_acked = 0
         labels = {"replicator": address}
         registry = sim.metrics
-        self._m_captured = registry.counter("fog.updates_captured", labels)
-        self._m_synced = registry.counter("fog.updates_synced", labels)
-        self._m_dropped = registry.counter("fog.updates_dropped_overflow", labels)
-        self._m_batches_sent = registry.counter("fog.sync_batches_sent", labels)
-        self._m_batches_acked = registry.counter("fog.sync_batches_acked", labels)
+        registry.register_counter("fog.updates_captured", lambda: self.updates_captured, labels)
+        registry.register_counter("fog.updates_synced", lambda: self.updates_synced, labels)
+        registry.register_counter(
+            "fog.updates_dropped_overflow", lambda: self.updates_dropped_overflow, labels)
+        registry.register_counter("fog.sync_batches_sent", lambda: self.batches_sent, labels)
+        registry.register_counter("fog.sync_batches_acked", lambda: self.batches_acked, labels)
         # Sim-time seconds from capture on the fog tier to cloud ack; a WAN
         # partition shows up as the tail of this distribution.
         self._m_lag = registry.histogram(
@@ -182,11 +183,9 @@ class Replicator:
             # bit-identical.
             update["trace_ctx"] = self.sim.tracer.current()
         self.updates_captured += 1
-        self._m_captured.inc()
         if len(self._backlog) >= self.max_backlog:
             self._backlog.popleft()
             self.updates_dropped_overflow += 1
-            self._m_dropped.inc()
         self._backlog.append(update)
 
     # -- sync loop -----------------------------------------------------------
@@ -224,7 +223,6 @@ class Replicator:
     def _transmit(self, batch: SyncBatch) -> None:
         self._in_flight_since = self.sim.clock.now
         self.batches_sent += 1
-        self._m_batches_sent.inc()
         self.node.send(self.target_address, batch, batch.wire_size(), flow="ngsi-sync")
 
     def _on_packet(self, packet: Packet) -> None:
@@ -233,9 +231,7 @@ class Replicator:
             return
         if self._in_flight is not None and ack.seq == self._in_flight.seq:
             self.updates_synced += len(self._in_flight.updates)
-            self._m_synced.inc(len(self._in_flight.updates))
             self.batches_acked += 1
-            self._m_batches_acked.inc()
             if self.sim.metrics.enabled:
                 now = self.sim.clock.now
                 for update in self._in_flight.updates:

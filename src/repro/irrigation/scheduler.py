@@ -22,7 +22,8 @@ from repro.simkernel.simulator import Simulator
 
 
 class SchedulerStats:
-    __slots__ = ("cycles", "decisions", "commands_sent", "skipped_no_data", "skipped_stale")
+    __slots__ = ("cycles", "decisions", "commands_sent", "skipped_no_data", "skipped_stale",
+                 "actuation_depth_mm", "actuation_volume_m3")
 
     def __init__(self) -> None:
         self.cycles = 0
@@ -30,6 +31,9 @@ class SchedulerStats:
         self.commands_sent = 0
         self.skipped_no_data = 0
         self.skipped_stale = 0
+        # Actuation actually commanded (post supply-gate scaling).
+        self.actuation_depth_mm = 0.0
+        self.actuation_volume_m3 = 0.0
 
 
 class PlatformScheduler:
@@ -86,14 +90,15 @@ class PlatformScheduler:
         self._last_reading_ctx = None
         self._process = None
         registry = sim.metrics
-        self._m_cycles = registry.counter("scheduler.cycles")
-        self._m_decisions = registry.counter("scheduler.decisions")
-        self._m_commands = registry.counter("scheduler.commands_sent")
-        self._m_skipped_no_data = registry.counter("scheduler.skipped_no_data")
-        self._m_skipped_stale = registry.counter("scheduler.skipped_stale")
-        # Actuation volume actually commanded (post supply-gate scaling).
-        self._m_requested_mm = registry.counter("scheduler.actuation_depth_mm")
-        self._m_requested_m3 = registry.counter("scheduler.actuation_volume_m3")
+        stats = self.stats
+        registry.register_counter("scheduler.cycles", lambda: stats.cycles)
+        registry.register_counter("scheduler.decisions", lambda: stats.decisions)
+        registry.register_counter("scheduler.commands_sent", lambda: stats.commands_sent)
+        registry.register_counter("scheduler.skipped_no_data", lambda: stats.skipped_no_data)
+        registry.register_counter("scheduler.skipped_stale", lambda: stats.skipped_stale)
+        registry.register_counter("scheduler.actuation_depth_mm", lambda: stats.actuation_depth_mm)
+        registry.register_counter(
+            "scheduler.actuation_volume_m3", lambda: stats.actuation_volume_m3)
 
     # -- wiring -----------------------------------------------------------
 
@@ -141,7 +146,6 @@ class PlatformScheduler:
 
     def run_cycle(self) -> None:
         self.stats.cycles += 1
-        self._m_cycles.inc()
         if self.heartbeat is not None:
             self.heartbeat()
         # Each cycle is its own trace root; per-zone decision spans hang
@@ -200,16 +204,13 @@ class PlatformScheduler:
             entity = self.context.get_entity(binding["entity_id"])
         except Exception:
             self.stats.skipped_no_data += 1
-            self._m_skipped_no_data.inc()
             return None
         attribute = entity.attribute("soilMoisture")
         if attribute is None or not isinstance(attribute.value, (int, float)):
             self.stats.skipped_no_data += 1
-            self._m_skipped_no_data.inc()
             return None
         if self.sim.now - attribute.timestamp > self.max_data_age_s:
             self.stats.skipped_stale += 1
-            self._m_skipped_stale.inc()
             return None
         self._last_reading_ctx = attribute.trace_ctx
         theta = float(attribute.value)
@@ -236,7 +237,6 @@ class PlatformScheduler:
         if span is not None:
             span.add_link(self._last_reading_ctx)
         self.stats.decisions += 1
-        self._m_decisions.inc()
         entry = {
             "t": self.sim.now,
             "entity": binding["entity_id"],
@@ -264,9 +264,8 @@ class PlatformScheduler:
                 )
             if sent:
                 self.stats.commands_sent += 1
-                self._m_commands.inc()
-                self._m_requested_mm.inc(depth_mm)
-                self._m_requested_m3.inc(depth_mm * binding.get("area_ha", 1.0) * 10.0)
+                self.stats.actuation_depth_mm += depth_mm
+                self.stats.actuation_volume_m3 += depth_mm * binding.get("area_ha", 1.0) * 10.0
         finally:
             tracer.end_span(span)
 
@@ -287,7 +286,6 @@ class PlatformScheduler:
             any_data = True
             decision = self.policy.decide(depletion, self._raw_mm(zone_binding), forecast)
             self.stats.decisions += 1
-            self._m_decisions.inc()
             if decision.irrigate:
                 prescription[zone_binding["zone_id"]] = round(decision.depth_mm, 2)
         if not any_data:
@@ -319,10 +317,9 @@ class PlatformScheduler:
                 )
             if sent:
                 self.stats.commands_sent += 1
-                self._m_commands.inc()
                 areas = {z["zone_id"]: z.get("area_ha", 1.0) for z in binding["zones"]}
                 for zone_id, depth in prescription.items():
-                    self._m_requested_mm.inc(depth)
-                    self._m_requested_m3.inc(depth * areas.get(zone_id, 1.0) * 10.0)
+                    self.stats.actuation_depth_mm += depth
+                    self.stats.actuation_volume_m3 += depth * areas.get(zone_id, 1.0) * 10.0
         finally:
             tracer.end_span(span)

@@ -154,20 +154,24 @@ class MqttBroker(NetworkNode):
         self.verify_routing = False
         self.retained: Dict[str, Publish] = {}
         self.stats = BrokerStats()
-        labels = {"broker": address}
-        registry = sim.metrics
-        self._m_connects = registry.counter("mqtt.connects", labels)
-        self._m_rejected = registry.counter("mqtt.rejected_connects", labels)
-        self._m_pub_in = registry.counter("mqtt.publishes_in", labels)
-        self._m_pub_out = registry.counter("mqtt.publishes_out", labels)
-        self._m_denied = registry.counter("mqtt.denied", labels)
-        self._m_dropped = registry.counter("mqtt.dropped_overload", labels)
-        self._m_offline_dropped = registry.counter("mqtt.offline_dropped", labels)
-        self._m_shed = registry.counter("mqtt.backpressure_shed", labels)
-        self._m_expired = registry.counter("mqtt.session_expirations", labels)
         # Candidate (filter, client) pairs the index yielded per publish;
         # with linear scan this would grow with total subscription count.
-        self._m_route_candidates = registry.counter("mqtt.route_candidates", labels)
+        self.route_candidates = 0
+        labels = {"broker": address}
+        registry = sim.metrics
+        stats = self.stats
+        registry.register_counter("mqtt.connects", lambda: stats.connects, labels)
+        registry.register_counter("mqtt.rejected_connects", lambda: stats.rejected_connects, labels)
+        registry.register_counter("mqtt.publishes_in", lambda: stats.publishes_in, labels)
+        registry.register_counter("mqtt.publishes_out", lambda: stats.publishes_out, labels)
+        registry.register_counter(
+            "mqtt.denied", lambda: stats.denied_publish + stats.denied_subscribe, labels)
+        registry.register_counter("mqtt.dropped_overload", lambda: stats.dropped_overload, labels)
+        registry.register_counter("mqtt.offline_dropped", lambda: stats.offline_dropped, labels)
+        registry.register_counter("mqtt.backpressure_shed", lambda: stats.shed_backpressure, labels)
+        registry.register_counter(
+            "mqtt.session_expirations", lambda: stats.session_expirations, labels)
+        registry.register_counter("mqtt.route_candidates", lambda: self.route_candidates, labels)
         registry.register_callback(
             "mqtt.connected_clients",
             lambda: float(sum(1 for s in self.sessions.values() if s.connected)),
@@ -200,7 +204,6 @@ class MqttBroker(NetworkNode):
 
     def _on_offline_evict(self, publish: Publish) -> None:
         self.stats.offline_dropped += 1
-        self._m_offline_dropped.inc()
 
     def _note_session_deadline(self, session: "BrokerSession") -> None:
         if session.keepalive_s:
@@ -237,7 +240,6 @@ class MqttBroker(NetworkNode):
 
     def _expire_session(self, session: BrokerSession) -> None:
         self.stats.session_expirations += 1
-        self._m_expired.inc()
         self.sim.trace.emit(
             self.sim.now, "mqtt", "session expired", broker=self.address, client=session.client_id
         )
@@ -288,7 +290,7 @@ class MqttBroker(NetworkNode):
             # RST" a real client would observe after a broker restart), so
             # clients learn their session is gone without waiting out two
             # keepalive periods.  Still counted for DoS experiments.
-            self.stats.dropped_overload += 1; self._m_dropped.inc()
+            self.stats.dropped_overload += 1
             if kind is not Disconnect:
                 self.send(packet.src, Disconnect(), Disconnect().wire_size(), flow="mqtt")
             return
@@ -325,7 +327,6 @@ class MqttBroker(NetworkNode):
             code = self.authenticator(connect)
         if code is not ConnectReturnCode.ACCEPTED:
             self.stats.rejected_connects += 1
-            self._m_rejected.inc()
             self.sim.trace.emit(
                 self.sim.now, "mqtt", "connect rejected",
                 broker=self.address, client=connect.client_id, code=int(code),
@@ -361,7 +362,6 @@ class MqttBroker(NetworkNode):
         self._address_index[src_address] = connect.client_id
         self._note_session_deadline(session)
         self.stats.connects += 1
-        self._m_connects.inc()
         self.send(
             src_address,
             ConnAck(return_code=code, session_present=session_present),
@@ -390,7 +390,6 @@ class MqttBroker(NetworkNode):
             # DROP_NEWEST models a truly saturated listener (flights
             # dangle, the sender retries into the same closed window).
             self.stats.shed_backpressure += 1
-            self._m_shed.inc()
             if self.inbound_limit.policy is DropPolicy.REJECT:
                 if publish.qos == 1:
                     self._send_to(session, PubAck(packet_id=publish.packet_id))
@@ -399,7 +398,6 @@ class MqttBroker(NetworkNode):
             return
         if self.authorizer is not None and not self.authorizer(session, "publish", publish.topic):
             self.stats.denied_publish += 1
-            self._m_denied.inc()
             self.sim.trace.emit(
                 self.sim.now, "mqtt", "publish denied",
                 broker=self.address, client=session.client_id, topic=publish.topic,
@@ -412,7 +410,6 @@ class MqttBroker(NetworkNode):
                 session.inbox.on_publish_qos2(publish)
             return
         self.stats.publishes_in += 1
-        self._m_pub_in.inc()
         if publish.qos == 0:
             self._route_publish(publish, origin=session)
         elif publish.qos == 1:
@@ -459,7 +456,7 @@ class MqttBroker(NetworkNode):
         # the matched client set is sorted by client_id exactly as the
         # full sorted-session scan produced it.
         matched = self._routes.match(publish.topic)
-        self._m_route_candidates.inc(len(matched))
+        self.route_candidates += len(matched)
         granted: Dict[str, int] = {}
         for client_id, qos in matched:
             best = granted.get(client_id)
@@ -510,12 +507,12 @@ class MqttBroker(NetworkNode):
             retain=False,
             trace_ctx=ctx if ctx is not None else publish.trace_ctx,
         )
-        self.stats.publishes_out += 1; self._m_pub_out.inc()
+        self.stats.publishes_out += 1
         if qos == 0:
             self._send_to(session, outbound)
         else:
             if session.outbox.send_publish(outbound) is None:
-                self.stats.dropped_overload += 1; self._m_dropped.inc()
+                self.stats.dropped_overload += 1
 
     # -- SUBSCRIBE / UNSUBSCRIBE --------------------------------------------------
 
@@ -530,7 +527,6 @@ class MqttBroker(NetworkNode):
                 continue
             if self.authorizer is not None and not self.authorizer(session, "subscribe", topic_filter):
                 self.stats.denied_subscribe += 1
-                self._m_denied.inc()
                 self.sim.trace.emit(
                     self.sim.now, "mqtt", "subscribe denied",
                     broker=self.address, client=session.client_id, filter=topic_filter,
@@ -554,7 +550,7 @@ class MqttBroker(NetworkNode):
                         qos=min(qos, retained.qos),
                         retain=True,
                     )
-                    self.stats.publishes_out += 1; self._m_pub_out.inc()
+                    self.stats.publishes_out += 1
                     if outbound.qos == 0:
                         self._send_to(session, outbound)
                     else:

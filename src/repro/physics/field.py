@@ -204,9 +204,6 @@ class Field:
     def total_yield_t(self) -> float:
         return sum(z.yield_tracker.yield_t_ha * z.area_ha for z in self.zones)
 
-    def mean_theta(self) -> float:
-        return sum(z.theta for z in self.zones) / len(self.zones)
-
     def capacity_cv(self) -> float:
         """Realized coefficient of variation of the capacity factors."""
         factors = [z.capacity_factor for z in self.zones]

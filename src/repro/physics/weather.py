@@ -156,10 +156,6 @@ class DailyWeather:
     def tmean_c(self) -> float:
         return (self.tmin_c + self.tmax_c) / 2.0
 
-    @property
-    def is_wet(self) -> bool:
-        return self.rain_mm > 0.1
-
 
 class WeatherGenerator:
     """Stateful daily weather generator for one site."""

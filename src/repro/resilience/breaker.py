@@ -63,6 +63,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.open_timeout_s = open_timeout_s
         self.opens = 0
+        self.transitions = 0
         self.on_state_change: List[StateListener] = []
         self._state = BreakerState.CLOSED
         self._failures = 0
@@ -70,8 +71,9 @@ class CircuitBreaker:
         self._trial_outstanding = False
         registry = metrics if metrics is not None else NULL_REGISTRY
         labels = {"breaker": name}
-        self._m_opens = registry.counter("resilience.breaker_opens", labels)
-        self._m_transitions = registry.counter("resilience.breaker_transitions", labels)
+        registry.register_counter("resilience.breaker_opens", lambda: self.opens, labels)
+        registry.register_counter(
+            "resilience.breaker_transitions", lambda: self.transitions, labels)
         registry.register_callback(
             "resilience.breaker_state",
             lambda: BREAKER_STATE_VALUES[self._state],
@@ -81,10 +83,6 @@ class CircuitBreaker:
     @property
     def state(self) -> BreakerState:
         return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
 
     def allow(self, now: float) -> bool:
         """May the protected operation be attempted right now?"""
@@ -130,12 +128,11 @@ class CircuitBreaker:
         self._opened_at = now
         self._failures = 0
         self.opens += 1
-        self._m_opens.inc()
         self._transition(BreakerState.OPEN, now)
 
     def _transition(self, new_state: BreakerState, now: float) -> None:
         old_state, self._state = self._state, new_state
-        self._m_transitions.inc()
+        self.transitions += 1
         for listener in self.on_state_change:
             listener(old_state, new_state, now)
 

@@ -74,9 +74,9 @@ class DegradedModePolicy:
         self._saved_max_age: Optional[float] = None
         self.journal = BoundedQueue(journal_limit, DropPolicy.DROP_OLDEST)
         registry = sim.metrics
-        self._m_episodes = registry.counter("resilience.degraded_episodes")
-        self._m_decisions = registry.counter("resilience.degraded_decisions")
-        self._m_reconciled = registry.counter("resilience.reconciled_decisions")
+        registry.register_counter("resilience.degraded_episodes", lambda: self.episodes)
+        registry.register_counter("resilience.degraded_decisions", lambda: self.journaled)
+        registry.register_counter("resilience.reconciled_decisions", lambda: self.reconciled)
         registry.register_callback(
             "resilience.degraded_mode",
             lambda: 1.0 if self.mode == self.DEGRADED else 0.0,
@@ -126,7 +126,6 @@ class DegradedModePolicy:
         self.mode = self.DEGRADED
         self.entered_at = now
         self.episodes += 1
-        self._m_episodes.inc()
         self._saved_max_age = self.scheduler.max_data_age_s
         self.scheduler.max_data_age_s = max(
             self.degraded_max_data_age_s, self._saved_max_age
@@ -157,7 +156,6 @@ class DegradedModePolicy:
             return
         self.journal.push(dict(entry))
         self.journaled += 1
-        self._m_decisions.inc()
 
     def reconcile(self, now: float) -> None:
         """Ship the journal cloudward through the normal replication path."""
@@ -175,7 +173,6 @@ class DegradedModePolicy:
             },
         )
         self.reconciled += len(entries)
-        self._m_reconciled.inc(len(entries))
         self.sim.trace.emit(
             now, "resilience", "journal reconciled", entries=len(entries),
         )

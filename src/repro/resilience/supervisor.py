@@ -56,7 +56,7 @@ class Watch:
     __slots__ = (
         "name", "probe", "restart", "heartbeat_timeout_s",
         "state", "last_beat", "attempts", "restarts", "next_restart_at",
-        "_sim", "_m_restarts",
+        "_sim",
     )
 
     def __init__(
@@ -79,9 +79,8 @@ class Watch:
         self.attempts = 0       # consecutive restarts in the current episode
         self.restarts = 0       # lifetime restarts
         self.next_restart_at = 0.0
-        self._m_restarts = sim.metrics.counter(
-            "resilience.restarts", {"service": name}
-        )
+        sim.metrics.register_counter(
+            "resilience.restarts", lambda: self.restarts, {"service": name})
 
     def beat(self) -> None:
         """Heartbeat: called by the service itself from its hot path."""
@@ -119,7 +118,6 @@ class Supervisor:
         self.total_restarts = 0
         self._watches: List[Watch] = []
         self._by_name: Dict[str, Watch] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
         # Fired as (service, old, new, now) on every watch state change.
         # The degraded-mode policy listens here: a fog node that the
         # supervisor sees isolated must enter autonomy even when the
@@ -163,7 +161,6 @@ class Supervisor:
         outcome; the supervisor only samples) — this merely folds it into
         the ``resilience.health`` family and the trace stream.
         """
-        self._breakers[name] = breaker
         self.sim.metrics.register_callback(
             "resilience.health",
             lambda b=breaker: 1.0 - BREAKER_STATE_VALUES[b.state],
@@ -252,7 +249,6 @@ class Supervisor:
         )
         watch.restarts += 1
         self.total_restarts += 1
-        watch._m_restarts.inc()
         self.sim.trace.emit(
             now, "resilience", "restarting service",
             service=watch.name, attempt=watch.attempts,
@@ -283,5 +279,3 @@ class Supervisor:
         """Service name → health state (diagnostics, chaos invariants)."""
         return {watch.name: watch.state.value for watch in self._watches}
 
-    def breaker_states(self) -> Dict[str, str]:
-        return {name: breaker.state.value for name, breaker in self._breakers.items()}

@@ -70,13 +70,3 @@ class PacketReplayer:
                 sent += 1
         self.replayed += sent
         return sent
-
-    def replay_loop(self, interval_s: float = 300.0) -> None:
-        """Keep replaying the capture on an interval (sustained staleness)."""
-
-        def loop():
-            while True:
-                yield interval_s
-                self.replay_all()
-
-        self.sim.spawn(loop(), "replayer-loop")

@@ -47,10 +47,10 @@ class PepProxy:
         self.denied_count = 0
         # Per-request processing latency model (token check + PDP walk).
         self.overhead_s = 0.0015
-        self._m_allowed = sim.metrics.counter("security.auth_checks",
-                                              {"verdict": "allowed"})
-        self._m_denied = sim.metrics.counter("security.auth_checks",
-                                             {"verdict": "denied"})
+        sim.metrics.register_counter("security.auth_checks", lambda: self.allowed_count,
+                                     {"verdict": "allowed"})
+        sim.metrics.register_counter("security.auth_checks", lambda: self.denied_count,
+                                     {"verdict": "denied"})
 
     def _audit(self, principal: Optional[str], action: str, resource: str,
                allowed: bool, reason: str) -> None:
@@ -61,10 +61,8 @@ class PepProxy:
         )
         if allowed:
             self.allowed_count += 1
-            self._m_allowed.inc()
         else:
             self.denied_count += 1
-            self._m_denied.inc()
 
     # -- generic enforcement -----------------------------------------------------
 

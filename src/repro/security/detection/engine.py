@@ -109,9 +109,9 @@ class DetectionEngine:
         self.samples_scored = 0
         self.alerts_raised = 0
         registry = sim.metrics
-        self._m_trained = registry.counter("security.detector_samples_trained")
-        self._m_scored = registry.counter("security.detector_samples_scored")
-        self._m_alerts = registry.counter("security.detector_alerts")
+        registry.register_counter("security.detector_samples_trained", lambda: self.samples_trained)
+        registry.register_counter("security.detector_samples_scored", lambda: self.samples_scored)
+        registry.register_counter("security.detector_alerts", lambda: self.alerts_raised)
         context.update_hooks.append(self._on_update)
 
     @property
@@ -143,15 +143,12 @@ class DetectionEngine:
                 for detector in bank.values():
                     detector.train(now, value)
                 self.samples_trained += 1
-                self._m_trained.inc()
                 continue
             self.samples_scored += 1
-            self._m_scored.inc()
             for detector_name, detector in bank.items():
                 score = detector.score(now, value)
                 if score >= self.alert_threshold:
                     self.alerts_raised += 1
-                    self._m_alerts.inc()
                     self.alert_manager.handle(
                         Alert(
                             time=now,

@@ -166,16 +166,19 @@ class NgsiService:
         self._seq = 0
         self._pump = None
         self.wall_time_s = 0.0
+        #: Requests admitted to :meth:`_accept` (``_seq`` lags the ones
+        #: still queued) and refusals by reason (an auth refusal may
+        #: have no tenant to charge).
+        self.requests = 0
+        self.rejected = {"auth": 0, "quota": 0, "backlog": 0}
         metrics = sim.metrics
-        self._m_requests = metrics.counter("service.requests")
-        self._m_rejected = {
-            reason: metrics.counter("service.rejected", {"reason": reason})
-            for reason in ("auth", "quota", "backlog")
-        }
-        self._m_cache = {
-            result: metrics.counter("service.cache", {"result": result})
-            for result in ("hit", "miss")
-        }
+        metrics.register_counter("service.requests", lambda: self.requests)
+        for reason in self.rejected:
+            metrics.register_counter(
+                "service.rejected", lambda r=reason: self.rejected[r], {"reason": reason})
+        cache = self.cache
+        metrics.register_counter("service.cache", lambda: cache.hits, {"result": "hit"})
+        metrics.register_counter("service.cache", lambda: cache.misses, {"result": "miss"})
         self.router = Router()
         self._install_routes()
 
@@ -334,7 +337,7 @@ class NgsiService:
 
     def _accept(self, request: Request, queue: bool) -> Optional[Response]:
         at_s = self.sim.now
-        self._m_requests.inc()
+        self.requests += 1
         route, params, path_exists = self.router.match(request.method, request.path)
         if route is None:
             if path_exists:
@@ -355,12 +358,12 @@ class NgsiService:
         except (ReproError, OAuthError) as exc:
             if tenant is not None:
                 tenant.rejected_auth += 1
-            self._m_rejected["auth"].inc()
+            self.rejected["auth"] += 1
             return self._record(request, tenant, at_s, error_response(exc), cache_state="")
         tenant.submitted += 1
         if not tenant.limiter.admit(at_s):
             tenant.rejected_quota += 1
-            self._m_rejected["quota"].inc()
+            self.rejected["quota"] += 1
             response = error_response(QuotaExceededError(
                 f"tenant {tenant.name!r} exceeded "
                 f"{tenant.quota.max_requests_per_window} requests/"
@@ -371,7 +374,7 @@ class NgsiService:
             if tenant.backlog.push((route, request, params, tenant, at_s)):
                 return None
             tenant.rejected_backlog += 1
-            self._m_rejected["backlog"].inc()
+            self.rejected["backlog"] += 1
             response = error_response(ServiceOverloadedError(
                 f"tenant {tenant.name!r} backlog full ({tenant.quota.max_backlog})"
             ))
@@ -435,7 +438,6 @@ class NgsiService:
             )
             response = self.cache.lookup(cache_key)
             cache_state = "HIT" if response is not None else "MISS"
-            self._m_cache["hit" if response is not None else "miss"].inc()
         if response is None:
             try:
                 response = route.handler(request, params, tenant)

@@ -70,12 +70,6 @@ class ResponseCache:
             if entity_id.startswith(prefix):
                 self._scope_versions[prefix] = version
 
-    def entity_version(self, entity_id: str) -> int:
-        return self._entity_versions.get(entity_id, 0)
-
-    def scope_version(self, prefix: str) -> int:
-        return self._scope_versions.get(prefix, 0)
-
     # -- lookup / store --------------------------------------------------
 
     def lookup(self, key: CacheKey) -> Optional[Response]:

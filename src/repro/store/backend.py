@@ -183,8 +183,3 @@ class AppendFile:
         os.fsync(self._fh.fileno())
         self.durable_bytes = self.written_bytes
         self._fh.close()
-
-    @property
-    def volatile_bytes(self) -> int:
-        """Bytes written but not yet covered by a barrier."""
-        return self.written_bytes - self.durable_bytes

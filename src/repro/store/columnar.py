@@ -538,12 +538,16 @@ class CompactionService:
         self.compacted_segments = 0
         self.compacted_records = 0
         self.retention_blocked_chunks = 0
+        #: Records retention dropped in this run (``columnar.dropped_records``
+        #: also counts earlier runs', loaded from the meta blob).
+        self.retention_dropped_records = 0
         self._pump = None
         # A prior process may have died mid-handoff in this directory.
         self.recover()
         metrics = sim.metrics
-        self._m_compacted = metrics.counter("store.compacted_records")
-        self._m_dropped = metrics.counter("store.retention_dropped_records")
+        metrics.register_counter("store.compacted_records", lambda: self.compacted_records)
+        metrics.register_counter(
+            "store.retention_dropped_records", lambda: self.retention_dropped_records)
         metrics.register_callback(
             "store.chunks", lambda: float(len(self.columnar._headers))
         )
@@ -604,7 +608,6 @@ class CompactionService:
             self.store.drop_segment(index, records)
             self.compacted_segments += 1
             self.compacted_records += records
-            self._m_compacted.inc(records)
             moved += records
         if self.retention is not None:
             self.enforce_retention()
@@ -672,7 +675,7 @@ class CompactionService:
         self.columnar.begin_drop(to_drop, accounting)
         self._crash_point("retention_meta")
         self.columnar.finish_drop()
-        self._m_dropped.inc(dropped_records)
+        self.retention_dropped_records += dropped_records
         return len(to_drop)
 
     # -- recovery + audit ----------------------------------------------------

@@ -419,6 +419,11 @@ class DurabilityService:
         #: ``wal_base_seq``.
         self._run_first_seq = store.appended
         self.run_appended = 0
+        #: Samples this service appended and records its barriers
+        #: committed, summed across crashes (``run_appended`` restarts at
+        #: a crash; ``self.store.committed`` is a watermark).
+        self.samples_appended = 0
+        self.records_committed = 0
         #: Optional :class:`~repro.store.columnar.CompactionService`.
         self.compaction = None
         # Shadow of this run's accepted payloads, for the prefix audit.
@@ -434,9 +439,9 @@ class DurabilityService:
         self._pump = None
         history.set_sink(self)
         metrics = sim.metrics
-        self._m_appended = metrics.counter("store.appended")
-        self._m_committed = metrics.counter("store.committed")
-        self._m_recoveries = metrics.counter("store.recoveries")
+        metrics.register_counter("store.appended", lambda: self.samples_appended)
+        metrics.register_counter("store.committed", lambda: self.records_committed)
+        metrics.register_counter("store.recoveries", lambda: self.recoveries)
         metrics.register_callback(
             "store.volatile_records", lambda: float(self.store.volatile_records)
         )
@@ -449,7 +454,7 @@ class DurabilityService:
     def on_sample(self, entity_id: str, attr: str, t: float, v: float) -> None:
         payload = encode_sample(entity_id, attr, t, v)
         self.store.append(payload)
-        self._m_appended.inc()
+        self.samples_appended += 1
         self.run_appended += 1
         if len(self._shadow) < self.shadow_cap:
             self._shadow.append(payload)
@@ -483,7 +488,7 @@ class DurabilityService:
         ok = self.store.commit()
         if ok:
             self._last_flush_t = now
-            self._m_committed.inc(self.store.committed - before)
+            self.records_committed += self.store.committed - before
         return ok
 
     # -- compaction ---------------------------------------------------------
@@ -552,7 +557,6 @@ class DurabilityService:
         wal_payloads = self.store.recover()
         self.recovery_wall_s += time.perf_counter() - started
         self.recoveries += 1
-        self._m_recoveries.inc()
         # Reassemble the durable sequence: retained chunks (ascending,
         # gaps only where retention dropped whole chunks) then the WAL.
         recovered: List[Tuple[int, bytes]] = []

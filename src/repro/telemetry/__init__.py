@@ -2,7 +2,6 @@
 
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_INSTRUMENT,
@@ -24,7 +23,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "Counter",
     "DeterministicSampler",
-    "Gauge",
     "Histogram",
     "KernelProfiler",
     "MetricsRegistry",

@@ -1,22 +1,28 @@
 """The unified metrics core.
 
 Every platform subsystem (simkernel, MQTT, context broker, fog
-replication, scheduler, security stack) publishes its hot-path counters
+replication, scheduler, security stack) exposes its hot-path counts
 through one labeled :class:`MetricsRegistry` so a pilot run can export a
 single JSON snapshot of cross-subsystem behaviour.
 
 Design constraints, in order:
 
-1. **Zero overhead when disabled.**  A disabled registry hands out
-   shared null instruments whose methods are empty; callers bind the
-   instrument once at construction time, so the per-event cost in no-op
-   mode is one attribute access plus an empty call.  The registry never
-   schedules simulator events and never draws from an RNG stream, so
-   enabling or disabling metrics cannot perturb a deterministic run.
+1. **Zero overhead on the hot path.**  A component keeps its own counts
+   (the stats its reports already read) and registers each counter as a
+   view over one of them with :meth:`MetricsRegistry.register_counter`;
+   gauges come from :meth:`MetricsRegistry.register_callback`.  The
+   registry reads both only when a snapshot is taken, so an event costs
+   the component's own ``+=`` and nothing more, whether metrics are on
+   or off.  The one instrument still fed per event is a :class:`Counter`
+   for the QoS outbox counts, which no long-lived component owns.  A
+   disabled registry ignores views and callbacks and hands out a shared
+   null instrument for counters, histograms and timers.  The registry
+   never schedules simulator events and never draws from an RNG stream,
+   so enabling or disabling metrics cannot perturb a deterministic run.
 2. **Deterministic snapshots.**  Counters, gauges and histograms record
-   only what callers feed them; the sole wall-clock consumer is
-   :class:`Timer` (latency histograms), which reads ``perf_counter``
-   outside the simulation's event ordering.
+   only what components count or feed them; the sole wall-clock
+   consumer is :class:`Timer` (latency histograms), which reads
+   ``perf_counter`` outside the simulation's event ordering.
 3. **Stdlib only, JSON-safe export.**
 """
 
@@ -61,31 +67,6 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def snapshot_value(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, backlog, lag)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelPairs = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def snapshot_value(self) -> float:
         return self.value
@@ -192,12 +173,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -214,18 +189,28 @@ class _NullInstrument:
 NULL_INSTRUMENT = _NullInstrument()
 
 
-class MetricsRegistry:
-    """Labeled factory and store for counters, gauges, histograms, timers.
+def _read_views(views: List[Callable[[], float]]) -> float:
+    total = 0.0
+    for fn in views:
+        total += fn()
+    return total
 
-    Instruments are get-or-create keyed by ``(name, sorted labels)``;
-    asking for the same name with a different instrument kind raises.
-    ``enabled=False`` turns the registry into a null object: every
-    factory returns :data:`NULL_INSTRUMENT` and ``snapshot()`` is empty.
+
+class MetricsRegistry:
+    """Labeled index over component counts, plus histograms and timers.
+
+    Counter views and gauge callbacks are keyed by ``(name, sorted
+    labels)`` and read at snapshot time.  Instruments are get-or-create
+    under the same keys; asking for one name with a different instrument
+    kind raises.  ``enabled=False`` turns the registry into a null
+    object: views and callbacks are ignored, every factory returns
+    :data:`NULL_INSTRUMENT` and ``snapshot()`` is empty.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: Dict[Tuple[str, LabelPairs], Any] = {}
+        self._views: Dict[Tuple[str, LabelPairs], List[Callable[[], float]]] = {}
         self._callbacks: Dict[Tuple[str, LabelPairs], Callable[[], float]] = {}
 
     # -- factories -----------------------------------------------------------
@@ -246,14 +231,11 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, labels: Optional[Dict[str, str]] = None) -> Counter:
+        """A counter fed per event; prefer :meth:`register_counter` when a
+        long-lived component already keeps the count."""
         if not self.enabled:
             return NULL_INSTRUMENT  # type: ignore[return-value]
         return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, labels: Optional[Dict[str, str]] = None) -> Gauge:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        return self._get_or_create(Gauge, name, labels)
 
     def histogram(
         self, name: str, labels: Optional[Dict[str, str]] = None,
@@ -271,6 +253,21 @@ class MetricsRegistry:
             return NULL_INSTRUMENT  # type: ignore[return-value]
         histogram = self._get_or_create(Histogram, name, labels, buckets=buckets)
         return Timer(histogram)
+
+    def register_counter(
+        self, name: str, fn: Callable[[], float],
+        labels: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Register a counter that reads a count its component keeps.
+
+        ``fn`` is called only when a snapshot (or :meth:`value` /
+        :meth:`total`) reads the counter, so counting stays the
+        component's own ``+=``.  Registrations under one key add up: every
+        PEP of a run feeds ``security.auth_checks{verdict}``.
+        """
+        if not self.enabled:
+            return
+        self._views.setdefault((name, _label_key(labels)), []).append(fn)
 
     def register_callback(
         self, name: str, fn: Callable[[], float],
@@ -293,42 +290,50 @@ class MetricsRegistry:
         instrument = self._instruments.get(key)
         if instrument is not None:
             return instrument.snapshot_value()
+        views = self._views.get(key)
+        if views is not None:
+            return _read_views(views)
         callback = self._callbacks.get(key)
         if callback is not None:
             return float(callback())
         return None
 
     def total(self, name: str) -> float:
-        """Sum of a counter/gauge across every label combination."""
+        """Sum of a counter across every label combination."""
         total = 0.0
         for (metric_name, _), instrument in self._instruments.items():
-            if metric_name == name and isinstance(instrument, (Counter, Gauge)):
+            if metric_name == name and isinstance(instrument, Counter):
                 total += instrument.value
+        for (metric_name, _), views in self._views.items():
+            if metric_name == name:
+                total += _read_views(views)
         return total
 
     def names(self) -> List[str]:
         return sorted({name for name, _ in self._instruments} |
+                      {name for name, _ in self._views} |
                       {name for name, _ in self._callbacks})
 
     # -- export -----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe dump of every instrument, grouped by kind."""
+        """JSON-safe dump of every metric, grouped by kind."""
         if not self.enabled:
             return {"enabled": False, "counters": {}, "gauges": {}, "histograms": {}}
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
+        counts: Dict[Tuple[str, LabelPairs], float] = {
+            key: _read_views(views) for key, views in self._views.items()
+        }
         histograms: Dict[str, Any] = {}
-        for (name, labels), instrument in sorted(self._instruments.items()):
-            full = _format_name(name, labels)
+        for key, instrument in sorted(self._instruments.items()):
             if isinstance(instrument, Counter):
-                counters[full] = instrument.value
-            elif isinstance(instrument, Gauge):
-                gauges[full] = instrument.value
-            elif isinstance(instrument, Histogram):
-                histograms[full] = instrument.snapshot_value()
-        for (name, labels), fn in sorted(self._callbacks.items()):
-            gauges[_format_name(name, labels)] = float(fn())
+                counts[key] = instrument.value
+            else:
+                histograms[_format_name(*key)] = instrument.snapshot_value()
+        counters = {_format_name(*key): value for key, value in sorted(counts.items())}
+        gauges = {
+            _format_name(*key): float(fn())
+            for key, fn in sorted(self._callbacks.items())
+        }
         return {
             "enabled": True,
             "counters": counters,

@@ -369,9 +369,6 @@ class Tracer:
             return all_spans
         return [s for s in all_spans if s.trace_id == trace_id]
 
-    def get_span(self, span_id: int) -> Optional[Span]:
-        return self._spans.get(span_id)
-
     def trace_ids(self) -> List[int]:
         return list(self._trace_order)
 

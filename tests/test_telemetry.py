@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_INSTRUMENT,
@@ -21,13 +20,6 @@ class TestInstruments:
         c.inc()
         c.inc(2.5)
         assert c.snapshot_value() == 3.5
-
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("g")
-        g.set(10.0)
-        g.inc(2.0)
-        g.dec(5.0)
-        assert g.snapshot_value() == 7.0
 
     def test_histogram_buckets_and_stats(self):
         h = Histogram("h", buckets=(1.0, 10.0))
@@ -75,7 +67,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_total_sums_across_label_sets(self):
         registry = MetricsRegistry()
@@ -92,13 +84,12 @@ class TestRegistry:
     def test_snapshot_formats_labels_and_groups_by_kind(self):
         registry = MetricsRegistry()
         registry.counter("c", {"farm": "a"}).inc()
-        registry.gauge("g").set(2.0)
         registry.histogram("h", buckets=(1.0,)).observe(0.5)
         registry.register_callback("lazy", lambda: 42.0)
         snap = registry.snapshot()
         assert snap["enabled"] is True
         assert snap["counters"] == {"c{farm=a}": 1.0}
-        assert snap["gauges"] == {"g": 2.0, "lazy": 42.0}
+        assert snap["gauges"] == {"lazy": 42.0}
         assert snap["histograms"]["h"]["count"] == 1
 
     def test_callbacks_evaluated_lazily_at_snapshot_time(self):
@@ -122,20 +113,37 @@ class TestRegistry:
         registry.register_callback("a", lambda: 0.0)
         assert registry.names() == ["a", "b"]
 
+    def test_counter_views_read_component_counts_at_snapshot_time(self):
+        registry = MetricsRegistry()
+        counts = {"a": 0, "b": 0}
+        registry.register_counter("checks", lambda: counts["a"], {"verdict": "ok"})
+        registry.register_counter("checks", lambda: counts["b"], {"verdict": "ok"})
+        registry.register_counter("checks", lambda: 7, {"verdict": "no"})
+        assert registry.snapshot()["counters"] == {
+            "checks{verdict=no}": 7.0, "checks{verdict=ok}": 0.0}
+        counts["a"], counts["b"] = 2, 3
+        snap = registry.snapshot()["counters"]
+        assert snap["checks{verdict=ok}"] == 5.0
+        assert type(snap["checks{verdict=ok}"]) is float
+        assert registry.value("checks", {"verdict": "ok"}) == 5.0
+        assert registry.total("checks") == 12.0
+        assert registry.names() == ["checks"]
+        disabled = MetricsRegistry(enabled=False)
+        disabled.register_counter("checks", lambda: 1)
+        assert disabled.snapshot()["counters"] == {}
+        assert disabled._views == {}
+
 
 class TestDisabledRegistry:
     def test_factories_return_shared_null_instrument(self):
         registry = MetricsRegistry(enabled=False)
         assert registry.counter("x") is NULL_INSTRUMENT
-        assert registry.gauge("x") is NULL_INSTRUMENT
         assert registry.histogram("x") is NULL_INSTRUMENT
         assert registry.timer("x") is NULL_INSTRUMENT
 
     def test_null_instrument_accepts_all_operations(self):
         null = NULL_REGISTRY.counter("anything")
         null.inc()
-        null.dec(2)
-        null.set(5)
         null.observe(1.0)
         with null:
             pass
