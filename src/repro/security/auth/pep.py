@@ -10,8 +10,9 @@ platform actually has:
 * context-API guard used by services before broker queries/updates.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 from repro.mqtt.broker import BrokerSession
 from repro.mqtt.packets import Connect, ConnectReturnCode
@@ -41,8 +42,10 @@ class PepProxy:
         self.sim = sim
         self.oauth = oauth
         self.pdp = pdp
-        self.audit_log: List[AuditRecord] = []
-        self.max_audit_records = max_audit_records
+        # The newest ``max_audit_records`` records; older ones are counted
+        # in ``audit_dropped`` as they fall off the front.
+        self.audit_log: Deque[AuditRecord] = deque(maxlen=max_audit_records)
+        self.audit_dropped = 0
         self.allowed_count = 0
         self.denied_count = 0
         # Per-request processing latency model (token check + PDP walk).
@@ -54,8 +57,8 @@ class PepProxy:
 
     def _audit(self, principal: Optional[str], action: str, resource: str,
                allowed: bool, reason: str) -> None:
-        if len(self.audit_log) >= self.max_audit_records:
-            self.audit_log.pop(0)
+        if len(self.audit_log) == self.audit_log.maxlen:
+            self.audit_dropped += 1
         self.audit_log.append(
             AuditRecord(self.sim.now, principal, action, resource, allowed, reason)
         )

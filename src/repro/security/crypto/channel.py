@@ -18,7 +18,7 @@ per-message cost, which devices charge to their battery (E13).
 
 from typing import Optional, Tuple
 
-from repro.security.crypto.aead import AeadError, NONCE_LEN, TAG_LEN, open_payload, seal_payload
+from repro.security.crypto.aead import AeadError, AeadKey, NONCE_LEN, TAG_LEN
 from repro.security.crypto.dh import DhKeyPair
 from repro.security.crypto.kdf import hkdf
 from repro.security.crypto.replay import ReplayWindow
@@ -44,11 +44,10 @@ class ChannelStats:
 class SecureChannel:
     """One direction-agnostic endpoint of a paired channel."""
 
-    def __init__(self, send_keys: Tuple[bytes, bytes], recv_keys: Tuple[bytes, bytes],
-                 rng: SeededStream) -> None:
-        self._send_enc, self._send_mac = send_keys
-        self._recv_enc, self._recv_mac = recv_keys
-        self._rng = rng
+    def __init__(self, send_keys: Tuple[bytes, bytes], recv_keys: Tuple[bytes, bytes]) -> None:
+        # Keyed once per direction: each seal/open only copies hash states.
+        self._send = AeadKey(*send_keys)
+        self._recv = AeadKey(*recv_keys)
         self._send_seq = 0
         self._replay = ReplayWindow()
         self.stats = ChannelStats()
@@ -70,9 +69,7 @@ class SecureChannel:
         seq_bytes = self._send_seq.to_bytes(SEQ_LEN, "big")
         self._send_seq += 1
         nonce = self._nonce_from_seq(seq_bytes)
-        sealed = seal_payload(
-            self._send_enc, self._send_mac, nonce, plaintext, associated_data + seq_bytes
-        )
+        sealed = self._send.seal(nonce, plaintext, associated_data + seq_bytes)
         self.stats.sealed += 1
         self.stats.bytes_sealed += len(plaintext)
         # Strip the nonce from the wire image: the receiver reconstructs
@@ -88,9 +85,7 @@ class SecureChannel:
         seq = int.from_bytes(seq_bytes, "big")
         sealed = self._nonce_from_seq(seq_bytes) + wire[SEQ_LEN:]
         try:
-            plaintext = open_payload(
-                self._recv_enc, self._recv_mac, sealed, associated_data + seq_bytes
-            )
+            plaintext = self._recv.open(sealed, associated_data + seq_bytes)
         except AeadError:
             self.stats.auth_failures += 1
             return None
@@ -139,5 +134,5 @@ class SecureChannelPair:
         material = hkdf(secret_a, 4 * 32, salt=b"swamp-channel", info=context)
         a_to_b = (material[0:32], material[32:64])
         b_to_a = (material[64:96], material[96:128])
-        self.endpoint_a = SecureChannel(send_keys=a_to_b, recv_keys=b_to_a, rng=rng_a)
-        self.endpoint_b = SecureChannel(send_keys=b_to_a, recv_keys=a_to_b, rng=rng_b)
+        self.endpoint_a = SecureChannel(send_keys=a_to_b, recv_keys=b_to_a)
+        self.endpoint_b = SecureChannel(send_keys=b_to_a, recv_keys=a_to_b)

@@ -277,8 +277,10 @@ class TestPepProxy:
         assert not pep.mqtt_authorizer(FakeSession(), "publish", "swamp/farmB/attrs/x")
 
     def test_audit_log_bounded(self):
-        sim, identity, oauth, pdp, pep = make_stack()
-        pep.max_audit_records = 10
-        for _ in range(25):
-            pep.check("bogus", "read", "x")
-        assert len(pep.audit_log) == 10
+        sim, identity, oauth, pdp, _ = make_stack()
+        pep = PepProxy(sim, oauth, pdp, max_audit_records=10)
+        for i in range(25):
+            pep.check("bogus", "read", f"x{i}")
+        assert [r.resource for r in pep.audit_log] == [f"x{i}" for i in range(15, 25)]
+        assert pep.audit_dropped == 15
+        assert pep.denied_count == 25

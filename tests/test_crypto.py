@@ -1,5 +1,8 @@
 """Tests for the simulation-grade crypto: KDF, DH, AEAD, replay, channels."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from repro.security.crypto import (
     seal_payload,
     shared_secret,
 )
+from repro.security.crypto.aead import AeadKey, HmacKey
 from repro.simkernel.rng import RngRegistry
 
 
@@ -136,6 +140,130 @@ class TestAead:
     def test_property_roundtrip(self, plaintext, ad):
         sealed = seal_payload(*self.KEYS, self.NONCE, plaintext, ad)
         assert open_payload(*self.KEYS, sealed, ad) == plaintext
+
+
+def _reference_keystream(enc_key, nonce, length):
+    blocks = (
+        hmac.new(enc_key, nonce + counter.to_bytes(4, "big"), hashlib.sha256).digest()
+        for counter in range(-(-length // 32))
+    )
+    return b"".join(blocks)[:length]
+
+
+def _reference_seal(enc_key, mac_key, nonce, plaintext, ad=b""):
+    """Encrypt-then-MAC with a fresh ``hmac.new`` for every HMAC: the
+    construction the keyed-once classes must reproduce byte for byte."""
+    keystream = _reference_keystream(enc_key, nonce, len(plaintext))
+    ciphertext = bytes(a ^ b for a, b in zip(plaintext, keystream))
+    tag = hmac.new(mac_key, nonce + ad + ciphertext, hashlib.sha256).digest()[:16]
+    return nonce + ciphertext + tag
+
+
+class TestAeadKnownAnswers:
+    """Bytes pinned from the per-call ``hmac.new`` construction."""
+
+    ENC = bytes(range(32))
+    MAC = bytes(range(32, 64))
+    NONCE = bytes(range(100, 112))
+    TOPIC = b"swamp/matopiba/attrs/probe-07"
+    LENGTHS = list(range(101)) + [255, 1000]
+    WIRES = (
+        "0000000000000000a805683a3671aaada9276cb8109575d1aed50723358b952a08f000448fd2c25710f22ab2818fa6d6",
+        "0000000000000001c36c8b8e7297ee5b8989d80f602eda0814d9b2b67e1292a226560b1d5eb8fdd6e7a8e1d8c3d65758",
+        "0000000000000002b0d62d5c1d6c07db3950710e4fdcb3d0a5b773205edd5c5edb0ee04d3c2320d9a4b4e226cb43824b",
+        "00000000000000039da2a16a3a578eab74d8ee29c6d1bf24b0c0cd1ad91d65e8e92400c986288fe02bc0803a7267fcc6",
+        "0000000000000004ffb0c7d0fc9188969de45aaab0517e6ae848244f29287b6ce6a08417e4128a5309a12e05019135f7",
+    )
+
+    @staticmethod
+    def plaintext(n):
+        return bytes((7 * i + 3) % 256 for i in range(n))
+
+    def topic_ad(self, n):
+        return self.TOPIC + n.to_bytes(8, "big")
+
+    def test_grid_digest(self):
+        digest = hashlib.sha256()
+        for n in self.LENGTHS:
+            for ad in (b"", self.topic_ad(n)):
+                sealed = seal_payload(self.ENC, self.MAC, self.NONCE, self.plaintext(n), ad)
+                assert open_payload(self.ENC, self.MAC, sealed, ad) == self.plaintext(n)
+                digest.update(sealed)
+        assert digest.hexdigest() == (
+            "da5b6089a569793fae54cbe23fd7933128fdab52ef82ac9dc86c2ce26623f8e9"
+        )
+
+    @pytest.mark.parametrize("n, with_topic, expected", [
+        (0, False, "6465666768696a6b6c6d6e6f659dcdeb5f28a24f72479ea4b37ccb2f"),
+        (33, True,
+         "6465666768696a6b6c6d6e6f3ce754add61ba52f9715141d6f591b2045311434e798805640"
+         "200b09d8414e2ceecee68cfef0a03cf7ac4513570ea44f07"),
+        (64, True,
+         "6465666768696a6b6c6d6e6f3ce754add61ba52f9715141d6f591b2045311434e798805640"
+         "200b09d8414e2ceef75f7b4088345fede8b4b388105c4c3e822f993722f03a718b9480b9dc"
+         "2cecbed0613c0134a8cff10f1078b0423d10"),
+    ])
+    def test_vectors(self, n, with_topic, expected):
+        ad = self.topic_ad(n) if with_topic else b""
+        sealed = seal_payload(self.ENC, self.MAC, self.NONCE, self.plaintext(n), ad)
+        assert sealed.hex() == expected
+        assert AeadKey(self.ENC, self.MAC).open(sealed, ad) == self.plaintext(n)
+
+    def test_channel_wire_bytes(self):
+        pair = SecureChannelPair(*streams(7))
+        topic = "swamp/matopiba/attrs/probe-07"
+        for i, expected in enumerate(self.WIRES):
+            payload = b'{"soil_moisture": %d.25}' % (20 + i)
+            _, wire = pair.endpoint_a.mqtt_encoder(topic, payload)
+            assert wire.hex() == expected
+            assert pair.endpoint_b.mqtt_decoder_from_wire(topic, wire) == payload
+
+
+class TestKeyedOnce:
+    """``HmacKey``/``AeadKey`` against per-call ``hmac.new``."""
+
+    @pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 131])
+    def test_hmac_key_equals_stdlib(self, key_len):
+        key = bytes((5 * i + 1) % 256 for i in range(key_len))
+        mac = HmacKey(key)
+        for message in (b"", b"m", bytes(range(256)) * 3):
+            assert mac.digest(message) == hmac.new(key, message, hashlib.sha256).digest()
+
+    @given(
+        st.binary(max_size=80), st.binary(max_size=80), st.binary(min_size=12, max_size=12),
+        st.binary(max_size=300), st.binary(max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_reference(self, enc_key, mac_key, nonce, plaintext, ad):
+        expected = _reference_seal(enc_key, mac_key, nonce, plaintext, ad)
+        key = AeadKey(enc_key, mac_key)
+        assert key.seal(nonce, plaintext, ad) == expected
+        assert seal_payload(enc_key, mac_key, nonce, plaintext, ad) == expected
+        assert key.open(expected, ad) == plaintext
+        assert open_payload(enc_key, mac_key, expected, ad) == plaintext
+        forged = expected[:-1] + bytes([expected[-1] ^ 1])
+        with pytest.raises(AeadError):
+            key.open(forged, ad)
+
+    @given(st.lists(st.tuples(st.binary(max_size=120), st.binary(max_size=30)), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_property_channel_equals_reference(self, messages):
+        enc_key, mac_key = b"e" * 32, b"m" * 32
+        channel = SecureChannel(send_keys=(enc_key, mac_key), recv_keys=(enc_key, mac_key))
+        for seq, (plaintext, ad) in enumerate(messages):
+            seq_bytes = seq.to_bytes(8, "big")
+            nonce = b"\x00" * 4 + seq_bytes
+            reference = _reference_seal(enc_key, mac_key, nonce, plaintext, ad + seq_bytes)
+            wire = channel.seal(plaintext, ad)
+            assert wire == seq_bytes + reference[12:]
+            assert channel.open(wire, ad) == plaintext
+
+    def test_argument_errors_kept(self):
+        key = AeadKey(b"e" * 32, b"m" * 32)
+        with pytest.raises(ValueError):
+            key.seal(b"short", b"x")
+        with pytest.raises(AeadError, match="too short"):
+            key.open(b"\x00" * 27)
 
 
 class TestReplayWindow:
