@@ -18,8 +18,9 @@ happens in append order and results are bit-identical to the in-memory
 path wherever both retain the data.  A read unpacks only the queried
 series' two columns of each chunk it opens (:func:`decode_series`, after
 the same magic, header, length and whole-file CRC checks a full decode
-runs) and filters the WAL tail from the store's in-memory records, so
-it touches no segment file.
+runs) and takes the WAL tail from the store's in-memory per-series
+index, parsing only each record's time and value, so it touches no
+segment file and no other series' records.
 
 **Crash-safe handoff.**  A segment is deleted only after its chunk is
 sealed (tmp → fsync → rename → dir-fsync, the
@@ -61,7 +62,12 @@ from repro.context.history import (
     rollup_rows,
     window_stats,
 )
-from repro.store.durable import SegmentStore, decode_sample, sample_prefix
+from repro.store.durable import (
+    SegmentStore,
+    decode_samples,
+    sample_prefix,
+    sample_tail,
+)
 from repro.store.segment import (
     StoreError,
     fsync_dir,
@@ -596,7 +602,7 @@ class CompactionService:
                 # delete; the records are already in a chunk.
                 self.store.drop_segment(index, records)
                 continue
-            samples = [decode_sample(p) for p in result.payloads]
+            samples = decode_samples(result.payloads)
             if records:
                 payload = encode_chunk(
                     index, self.columnar.wal_base_seq, samples, self.block_size
@@ -728,16 +734,16 @@ class ColumnarReader:
 
     Chunks hold the old, compacted majority of every series; the WAL's
     resident records are the fresh tail, served from the store's
-    in-memory copy (:meth:`SegmentStore.resident`) and filtered by the
-    series' payload prefix, so only the queried series' records are
-    decoded.  Reads stream chunk-by-chunk in append order, unpacking
-    only the queried series' two columns of each chunk — memory stays
-    bounded by the answer, one series' columns and references to the
-    resident WAL payloads — and the zone maps prune whole blocks (and
-    whole chunks, via the cached headers, without touching the file)
-    that cannot intersect the query window.  Zone maps are never used to
-    *answer* anything: every surviving sample is re-folded in append
-    order through the history tier's one
+    in-memory per-series index (:meth:`SegmentStore.resident_series`),
+    so only the queried series' records are touched, and of each only
+    the time and value are parsed.  Reads stream chunk-by-chunk in
+    append order, unpacking only the queried series' two columns of
+    each chunk — memory stays bounded by the answer, one series'
+    columns and references to the resident WAL payloads — and the zone
+    maps prune whole blocks (and whole chunks, via the cached headers,
+    without touching the file) that cannot intersect the query window.
+    Zone maps are never used to *answer* anything: every surviving
+    sample is re-folded in append order through the history tier's one
     :func:`~repro.context.history.fold`, which is what keeps results
     bit-identical to the in-memory path.
     """
@@ -750,8 +756,9 @@ class ColumnarReader:
 
     def _wal_samples(self, entity_id: str, attr: str) -> List[Tuple[float, float]]:
         prefix = sample_prefix(entity_id, attr)
-        return [decode_sample(payload)[2:] for payload in self.store.resident()
-                if payload.startswith(prefix)]
+        start = len(prefix)
+        return [sample_tail(payload, start)
+                for payload in self.store.resident_series(prefix)]
 
     def _series_entry(self, index: int, entity_id: str, attr: str):
         for entry in self.columnar.header(index)["series"]:

@@ -11,12 +11,15 @@ order, verify every checksum, truncate the first bad frame and
 everything after it, and hand back the surviving record prefix.
 
 The store also keeps every resident record's payload in memory, per
-segment (:meth:`~SegmentStore.resident`), so reads of the fresh WAL
-tail never touch the files: the WAL is read only at open, by
-:meth:`~SegmentStore.recover` and by compaction, and the last two fail
-loudly on a damaged sealed segment.  :meth:`~SegmentStore.read_all`
-stays the on-disk view that tests and audits compare the memory copy
-against.
+segment, both in append order (:meth:`~SegmentStore.resident`) and
+grouped by series (:meth:`~SegmentStore.resident_series`), so reads of
+the fresh WAL tail never touch the files and touch only the queried
+series: the WAL is read only at open, by :meth:`~SegmentStore.recover`
+and by compaction, and the last two fail loudly on a damaged sealed
+segment.  :meth:`~SegmentStore.read_all` stays the on-disk view that
+tests and audits compare the memory copy against.  A torn tail found at
+open is truncated before the first append, so new records never land
+behind garbage that every scan stops at.
 
 :class:`DurabilityService` wires the store behind
 :class:`~repro.context.history.ShortTermHistory`: every sample the
@@ -38,7 +41,7 @@ and the E18/E19 benchmarks are untouched.
 import json
 import os
 import time
-from dataclasses import dataclass
+from collections import defaultdict
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,6 +52,8 @@ from repro.store.backend import (
     TornWriteError,
 )
 from repro.store.segment import (
+    SEGMENT_MAGIC,
+    ScanResult,
     StoreError,
     encode_record,
     fsync_dir,
@@ -67,10 +72,14 @@ __all__ = [
 
 SampleRecord = Tuple[str, str, float, float]
 
+# One shared encoder: json.dumps with non-default separators builds a
+# fresh JSONEncoder on every call.  Output is byte-identical.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_sample(entity_id: str, attr: str, t: float, v: float) -> bytes:
     """Canonical sample payload: compact JSON array, byte-stable."""
-    return json.dumps([entity_id, attr, t, v], separators=(",", ":")).encode("utf-8")
+    return _encode([entity_id, attr, t, v]).encode("utf-8")
 
 
 def sample_prefix(entity_id: str, attr: str) -> bytes:
@@ -79,8 +88,26 @@ def sample_prefix(entity_id: str, attr: str) -> bytes:
     JSON string literals are prefix-free, so a payload starts with this
     prefix exactly when it decodes to ``(entity_id, attr, ...)``.
     """
-    head = json.dumps([entity_id, attr], separators=(",", ":"))
-    return head[:-1].encode("utf-8") + b","
+    return _encode([entity_id, attr])[:-1].encode("utf-8") + b","
+
+
+def sample_series(payload: bytes) -> bytes:
+    """The :func:`sample_prefix` a sample payload starts with.
+
+    JSON numbers hold no comma, so the prefix ends at the payload's
+    second comma from the right.
+    """
+    return payload[:payload.rfind(b",", 0, payload.rfind(b",")) + 1]
+
+
+def sample_tail(payload: bytes, start: int) -> Tuple[float, float]:
+    """``(t, v)`` of a sample payload whose series prefix is ``start``
+    bytes long, parsed from the ``t,v]`` tail alone.
+
+    ``float()`` on each number gives the bits ``json.loads`` does.
+    """
+    t, v = payload[start:-1].split(b",")
+    return float(t), float(v)
 
 
 def decode_sample(payload: bytes) -> SampleRecord:
@@ -88,17 +115,70 @@ def decode_sample(payload: bytes) -> SampleRecord:
     return (entity_id, attr, float(t), float(v))
 
 
+def decode_samples(payloads: List[bytes]) -> List[SampleRecord]:
+    """:func:`decode_sample` of every payload, in order.
+
+    The entity and attribute are decoded once per series; of each
+    record only the :func:`sample_tail` is parsed.
+    """
+    heads: Dict[bytes, Tuple[str, str]] = {}
+    samples: List[SampleRecord] = []
+    for payload in payloads:
+        prefix = sample_series(payload)
+        head = heads.get(prefix)
+        if head is None:
+            head = heads[prefix] = tuple(json.loads(prefix[:-1] + b"]"))
+        samples.append(head + sample_tail(payload, len(prefix)))
+    return samples
+
+
+def _index_series(payloads: List[bytes]) -> Dict[bytes, List[bytes]]:
+    """``payloads`` grouped by :func:`sample_series`, each group in order."""
+    series: Dict[bytes, List[bytes]] = defaultdict(list)
+    for payload in payloads:
+        series[sample_series(payload)].append(payload)
+    return series
+
+
+def _is_torn(result: ScanResult) -> bool:
+    """True when a scanned segment must be cut back before anything is
+    appended to it: bytes past its verified end failed the scan, or not
+    even its magic landed (an empty file included)."""
+    return result.torn or result.clean_end < len(SEGMENT_MAGIC)
+
+
+def _truncate_segment(path: str, end: int) -> None:
+    """Cut a segment file back to its verified ``end`` and fsync it.
+
+    A segment whose magic itself is torn holds no record; it is reset to
+    the bare magic, so the records appended next are readable.
+    """
+    with open(path, "r+b") as fh:
+        fh.truncate(end)
+        if end < len(SEGMENT_MAGIC):
+            fh.seek(0)
+            fh.write(SEGMENT_MAGIC)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 class SegmentStore:
     """Append-only, checksummed, crash-recoverable record log.
 
     ``_resident`` maps each resident segment's index to its payloads in
     append order (keys inserted in ascending segment order), holding the
-    very bytes objects :meth:`append` received.  It is filled by the scan
-    at open, extended by :meth:`append`, rebuilt from :meth:`recover`'s
+    very bytes objects :meth:`append` received.  ``_series`` maps the
+    same indexes to the same payloads grouped by :func:`sample_series`
+    key, each group in append order.  Both are filled by the scan at
+    open, extended by :meth:`append`, rebuilt from :meth:`recover`'s
     verified scan and shrunk by :meth:`drop_segment`; :meth:`close`
-    keeps it.  :meth:`crash` discards it, and :meth:`resident` raises
-    until :meth:`recover` runs, so no read can serve a record the crash
-    lost.
+    keeps them.  :meth:`crash` discards them, and :meth:`resident` and
+    :meth:`resident_series` raise until :meth:`recover` runs, so no read
+    can serve a record the crash lost.
+
+    A torn tail in the last segment found at open is left in place until
+    the first :meth:`append`, which truncates it to the verified end
+    first: a store that is only read changes no byte.
     """
 
     def __init__(
@@ -122,6 +202,9 @@ class SegmentStore:
         self.dropped_segments = 0
         self._active: Optional[AppendFile] = None
         self._active_index = 0
+        #: Verified end of the active segment when the open scan found a
+        #: torn tail there; the first append truncates to it.
+        self._torn_end: Optional[int] = None
         self._open_tail()
         #: Records resident in the WAL (a reused directory archives
         #: across runs, so opening scans what is already there; records
@@ -130,6 +213,7 @@ class SegmentStore:
         #: Resident records covered by a successful barrier.
         self.committed = 0
         self._resident: Optional[Dict[int, List[bytes]]] = {}
+        self._series: Optional[Dict[int, Dict[bytes, List[bytes]]]] = {}
         self._adopt_resident()
 
     # -- lifecycle ---------------------------------------------------------
@@ -153,13 +237,27 @@ class SegmentStore:
         Everything that survived to this open is treated as committed —
         the same stance :meth:`recover` takes — so sequence accounting
         is correct from the first append even without a recovery pass.
+        A torn tail in the active segment is noted, not cut: the first
+        :meth:`append` truncates it.
         """
         for index, path in segments_in(self.root):
             with open(path, "rb") as fh:
-                payloads = scan_records(fh.read()).payloads
-            self._resident[index] = payloads
-            self.appended += len(payloads)
-            self.committed += len(payloads)
+                result = scan_records(fh.read())
+            self._resident[index] = result.payloads
+            self._series[index] = _index_series(result.payloads)
+            self.appended += len(result.payloads)
+            self.committed += len(result.payloads)
+            if index == self._active_index and _is_torn(result):
+                self._torn_end = result.clean_end
+
+    def _truncate_torn_tail(self) -> None:
+        """Cut the torn tail the open scan found, before the first append."""
+        path = self._active.path
+        self._active.close()
+        _truncate_segment(path, self._torn_end)
+        self._active = AppendFile(path, self.faults)
+        self._torn_end = None
+        self.torn_tails_truncated += 1
 
     @property
     def _records_in_active(self) -> int:
@@ -183,6 +281,8 @@ class SegmentStore:
         """
         if self._active is None:
             raise StoreError("store is closed")
+        if self._torn_end is not None:
+            self._truncate_torn_tail()
         frame = encode_record(payload)
         before = self._active.written_bytes
         try:
@@ -192,6 +292,7 @@ class SegmentStore:
             self._active.truncate_to(before)
             self._active.append(frame)
         self._resident[self._active_index].append(payload)
+        self._series[self._active_index][sample_series(payload)].append(payload)
         seq = self.appended
         self.appended += 1
         if self._active.written_bytes >= self.max_segment_bytes:
@@ -240,6 +341,7 @@ class SegmentStore:
         )
         fsync_dir(self._active.path)
         self._resident[self._active_index] = []
+        self._series[self._active_index] = defaultdict(list)
         self.rotations += 1
 
     # -- crash / recovery --------------------------------------------------
@@ -257,6 +359,7 @@ class SegmentStore:
         self._active.crash(surviving_tail_bytes)
         self._active = None
         self._resident = None
+        self._series = None
 
     def recover(self) -> List[bytes]:
         """Scan all segments, truncate the torn tail, reopen for append.
@@ -275,26 +378,26 @@ class SegmentStore:
                 data = fh.read()
             result = scan_records(data)
             is_last = position == len(ordered) - 1
-            if result.torn:
+            if _is_torn(result):
                 if not is_last:
                     raise StoreError(
                         f"segment {path!r} is corrupt mid-log (not the tail "
                         "segment); refusing to recover past silent damage"
                     )
-                with open(path, "r+b") as fh:
-                    fh.truncate(result.clean_end)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                _truncate_segment(path, result.clean_end)
                 self.torn_tails_truncated += 1
             resident[index] = result.payloads
             payloads.extend(result.payloads)
         self.appended = len(payloads)
         self.committed = len(payloads)
         self.recoveries += 1
+        self._torn_end = None
         self._open_tail()
         # An empty directory reopens with a fresh segment 0.
         resident.setdefault(self._active_index, [])
         self._resident = resident
+        self._series = {index: _index_series(records)
+                        for index, records in resident.items()}
         return payloads
 
     def resident(self) -> Iterator[bytes]:
@@ -307,6 +410,19 @@ class SegmentStore:
         if self._resident is None:
             raise StoreError("store crashed; recover() before reading it")
         return chain.from_iterable(self._resident.values())
+
+    def resident_series(self, prefix: bytes) -> Iterator[bytes]:
+        """The resident payloads whose :func:`sample_series` is ``prefix``
+        (a :func:`sample_prefix`), in append order, from memory.
+
+        Equals the :meth:`resident` payloads that start with ``prefix``,
+        without testing the others.  Raises :class:`StoreError` between
+        :meth:`crash` and :meth:`recover`.
+        """
+        if self._series is None:
+            raise StoreError("store crashed; recover() before reading it")
+        return chain.from_iterable(
+            series.get(prefix, ()) for series in self._series.values())
 
     def read_all(self) -> List[bytes]:
         """Every record currently on disk (no truncation, no reopen).
@@ -355,6 +471,7 @@ class SegmentStore:
             fsync_dir(path)
         if self._resident is not None:
             self._resident.pop(index, None)
+            self._series.pop(index, None)
         self.appended = max(0, self.appended - records)
         self.committed = max(0, self.committed - records)
         self.dropped_segments += 1

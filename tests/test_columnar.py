@@ -30,7 +30,12 @@ from repro.store import (
     open_columnar_reader,
 )
 from repro.store.columnar import SAMPLE_BYTES, chunk_header, chunks_in
-from repro.store.durable import decode_sample, encode_sample, sample_prefix
+from repro.store.durable import (
+    decode_sample,
+    encode_sample,
+    sample_prefix,
+    sample_series,
+)
 from repro.store.segment import RECORD_HEADER, SEGMENT_MAGIC
 
 EID = "urn:AgriParcel:demo:0-0"
@@ -469,6 +474,8 @@ class TestSeriesIsolation:
             prefix = sample_prefix(*key)
             assert [decode_sample(p)[:2] for p in payloads
                     if p.startswith(prefix)] == [key]
+            assert [decode_sample(p)[:2] for p in payloads
+                    if sample_series(p) == prefix] == [key]
 
     def test_each_read_returns_its_own_series(self, tmp_path):
         # The broker refuses the escaped ids, so the samples go straight
@@ -486,7 +493,13 @@ class TestSeriesIsolation:
         compaction.compact_once()
         # Both sides of the WAL→chunk boundary hold data.
         assert compaction.columnar.chunk_indexes()
-        assert list(service.store.resident())
+        resident = list(service.store.resident())
+        assert resident
+        for eid in self.ENTITIES:
+            for attr in self.ATTRS:
+                prefix = sample_prefix(eid, attr)
+                assert list(service.store.resident_series(prefix)) == [
+                    p for p in resident if p.startswith(prefix)]
         oracle = ShortTermHistory(ContextBroker(Simulator(seed=0)),
                                   rollup_periods=(MINUTE_S,))
         oracle.rebuild_from_samples(samples)

@@ -7,10 +7,15 @@ recovered records are always a strict prefix of what was accepted, and
 the rebuilt history serves exactly the reads that prefix implies.
 """
 
+import json
+import math
 import os
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.context.broker import ContextBroker
 from repro.context.history import MINUTE_S, HistoryQuery, ShortTermHistory
@@ -32,9 +37,31 @@ from repro.store import (
     scan_records,
     write_sealed,
 )
+from repro.store.columnar import open_columnar_reader
+from repro.store.durable import (
+    decode_samples,
+    sample_prefix,
+    sample_series,
+    sample_tail,
+)
+from repro.store.segment import segments_in
 
 EID = "urn:AgriParcel:demo:0-0"
+EID2 = "urn:AgriParcel:demo:0-1"
 ATTR = "soilMoisture"
+
+#: Entity ids and attributes that need JSON escaping or hold commas.
+AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from('",\\:éç水'), st.characters()), max_size=12)
+#: Sample times and values: ints, subnormals, signed zeros, infinities,
+#: NaN and large exponents.
+AWKWARD_NUMBER = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, -1e300, 1e-300, math.inf,
+                     -math.inf, math.nan]),
+)
 
 
 def payloads_for(n, start=0):
@@ -45,6 +72,30 @@ class TestFraming:
     def test_sample_codec_round_trips(self):
         payload = encode_sample(EID, ATTR, 12.5, 0.375)
         assert decode_sample(payload) == (EID, ATTR, 12.5, 0.375)
+
+    @settings(max_examples=300, deadline=None)
+    @given(AWKWARD_TEXT, AWKWARD_TEXT, AWKWARD_NUMBER, AWKWARD_NUMBER)
+    def test_tail_parse_equals_full_decode(self, entity_id, attr, t, v):
+        payload = encode_sample(entity_id, attr, t, v)
+        assert payload == json.dumps(
+            [entity_id, attr, t, v], separators=(",", ":")).encode("utf-8")
+        prefix = sample_prefix(entity_id, attr)
+        assert sample_series(payload) == prefix
+        reference = decode_sample(payload)
+        bits = struct.Struct("<dd").pack
+        assert bits(*sample_tail(payload, len(prefix))) == bits(*reference[2:])
+        (decoded,) = decode_samples([payload])
+        assert decoded[:2] == reference[:2] == (entity_id, attr)
+        assert bits(*decoded[2:]) == bits(*reference[2:])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([EID, 'a,"b', "c\\d", "水"]),
+                              st.sampled_from([ATTR, "x,y"]),
+                              st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    max_size=30))
+    def test_batch_decode_equals_per_record_decode(self, samples):
+        payloads = [encode_sample(*sample) for sample in samples]
+        assert decode_samples(payloads) == [decode_sample(p) for p in payloads]
 
     def test_scan_recovers_every_frame(self):
         data = b"".join(encode_record(p) for p in payloads_for(5))
@@ -128,6 +179,13 @@ class TestSegmentStore:
         blob[-2] ^= 0xFF
         first.write_bytes(bytes(blob))
         reopened = SegmentStore(str(tmp_path), max_segment_bytes=120)
+        # The damage is in a sealed segment: appends leave the last one whole.
+        last = sorted(tmp_path.glob("seg-*.log"))[-1]
+        kept = scan_records(last.read_bytes()).payloads
+        reopened.append(b"after")
+        assert reopened.commit()
+        assert scan_records(last.read_bytes()) == ScanResult(
+            kept + [b"after"], last.stat().st_size, torn=False)
         with pytest.raises(StoreError, match="corrupt mid-log"):
             reopened.recover()
 
@@ -245,6 +303,7 @@ class TestResidentTail:
         broker = ContextBroker(sim)
         history = ShortTermHistory(broker)
         broker.create_entity(EID, "AgriParcel")
+        broker.create_entity(EID2, "AgriParcel")
         faults = StorageFaults()
         store = SegmentStore(str(root), max_segment_bytes=400, faults=faults)
         # No flush pump: the test issues every barrier itself.
@@ -257,8 +316,21 @@ class TestResidentTail:
         store.crash(surviving_tail_bytes=surviving)
         with pytest.raises(StoreError, match="recover"):
             store.resident()
+        with pytest.raises(StoreError, match="recover"):
+            store.resident_series(sample_prefix(EID, ATTR))
         compaction.recover()
         store.recover()
+
+    @staticmethod
+    def assert_memory_equals_disk(store, disk, context=None):
+        """The append-order view and every series' view equal the disk;
+        returns the series keys on disk."""
+        assert list(store.resident()) == disk, context
+        keys = {sample_series(p) for p in disk}
+        for key in keys | {sample_prefix("none", ATTR)}:
+            assert list(store.resident_series(key)) == [
+                p for p in disk if p.startswith(key)], (context, key)
+        return keys
 
     def test_resident_equals_disk_after_every_step(self, tmp_path):
         ops = ("append", "torn", "commit", "stall", "lose_fsync", "compact", "crash")
@@ -267,13 +339,16 @@ class TestResidentTail:
             rng = random.Random(seed)
             sim, broker, store, compaction, faults = self.rig(tmp_path / f"seed-{seed}")
             crashes = 0
+            keys = set()
             for step in range(300):
                 op = rng.choices(ops, weights)[0]
                 if op in ("append", "torn"):
                     if op == "torn":
                         faults.arm_torn_write(rng.random())
                     sim.run_until(sim.now + 10.0)
-                    broker.update_attributes(EID, {ATTR: rng.random()})
+                    value = rng.random()
+                    broker.update_attributes(EID if value < 0.7 else EID2,
+                                             {ATTR: value})
                 elif op == "commit":
                     store.commit()
                 elif op == "stall":
@@ -292,17 +367,19 @@ class TestResidentTail:
                 else:
                     self.crash_and_recover(store, compaction, rng.choice(self.CUTS))
                     crashes += 1
-                assert list(store.resident()) == store.read_all(), (seed, step, op)
+                keys |= self.assert_memory_equals_disk(
+                    store, store.read_all(), (seed, step, op))
             # Every mechanism the property is about actually ran.
             assert store.rotations and store.dropped_segments and crashes
             assert faults.torn_writes and store.torn_tails_truncated
             assert store.deferred_commits and store.failed_commits
+            assert keys == {sample_prefix(EID, ATTR), sample_prefix(EID2, ATTR)}
             faults.stalled = faults.fsync_lost = False
             store.close()
-            assert list(store.resident()) == store.read_all()
+            self.assert_memory_equals_disk(store, store.read_all())
             reopened = SegmentStore(str(tmp_path / f"seed-{seed}"),
                                     max_segment_bytes=400)
-            assert list(reopened.resident()) == store.read_all()
+            self.assert_memory_equals_disk(reopened, store.read_all())
             reopened.close()
 
     def test_resident_raises_between_crash_and_recover(self, tmp_path):
@@ -315,9 +392,132 @@ class TestResidentTail:
         store.crash(surviving_tail_bytes=5)
         with pytest.raises(StoreError, match="recover"):
             store.resident()
+        with pytest.raises(StoreError, match="recover"):
+            store.resident_series(sample_prefix(EID, ATTR))
         store.recover()
         assert list(store.resident()) == payloads_for(8) == store.read_all()
+        assert list(store.resident_series(sample_prefix(EID, ATTR))) == payloads_for(8)
         store.close()
+
+
+def tear_last_segment(root):
+    """Append half a frame to the last segment, as a process dying
+    mid-flush leaves it; returns the segment's path."""
+    _index, path = segments_in(str(root))[-1]
+    frame = encode_record(b"never committed")
+    with open(path, "ab") as fh:
+        fh.write(frame[: len(frame) // 2])
+    return path
+
+
+class TestTornReopen:
+    """A store reopened over a torn tail keeps what it commits next."""
+
+    def test_first_append_truncates_the_torn_tail(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        for p in payloads_for(5):
+            store.append(p)
+        store.commit()
+        store.close()
+        tear_last_segment(tmp_path)
+        reopened = SegmentStore(str(tmp_path))
+        assert reopened.appended == 5 and reopened.torn_tails_truncated == 0
+        reopened.append(payloads_for(6)[5])
+        assert reopened.commit()
+        assert reopened.torn_tails_truncated == 1
+        assert list(reopened.resident()) == reopened.read_all() == payloads_for(6)
+        reopened.close()
+        assert SegmentStore(str(tmp_path)).recover() == payloads_for(6)
+
+    def test_a_store_that_is_only_read_changes_no_byte(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        for p in payloads_for(5):
+            store.append(p)
+        store.close()
+        path = tear_last_segment(tmp_path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        reader = open_columnar_reader(str(tmp_path))
+        assert list(reader.store.resident()) == payloads_for(5)
+        assert reader.read(HistoryQuery(EID, ATTR, last_n=2)).rows == [
+            (30.0, 0.30000000000000004), (40.0, 0.4)]
+        reopened = SegmentStore(str(tmp_path))
+        assert reopened.commit()
+        reopened.close()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+    @pytest.mark.parametrize("stub", [b"", b"SW", b"JUNK"])
+    @pytest.mark.parametrize("via_recover", [False, True])
+    def test_a_torn_magic_is_reset_before_the_first_append(
+            self, tmp_path, stub, via_recover):
+        store = SegmentStore(str(tmp_path), max_segment_bytes=200)
+        for p in payloads_for(4):
+            store.append(p)
+        store.close()
+        # A crash between creating the next segment and writing its magic.
+        last = len(segments_in(str(tmp_path)))
+        with open(tmp_path / f"seg-{last:08d}.log", "wb") as fh:
+            fh.write(stub)
+        reopened = SegmentStore(str(tmp_path), max_segment_bytes=200)
+        if via_recover:
+            reopened.crash()
+            assert reopened.recover() == payloads_for(4)
+        reopened.append(payloads_for(5)[4])
+        assert reopened.commit()
+        assert reopened.torn_tails_truncated == 1
+        reopened.close()
+        assert SegmentStore(str(tmp_path)).recover() == payloads_for(5)
+
+    def test_reopen_after_crash_matches_an_uninterrupted_store(self, tmp_path):
+        """Crash with no recover, reopen, append, commit, over many cuts.
+
+        The oracle is a store in another directory that appends the same
+        surviving records and new records without ever crashing.
+        """
+        truncated = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            root = tmp_path / f"seed-{seed}"
+            store = SegmentStore(str(root), max_segment_bytes=300)
+            survivors = []  # what a reopen must find, in order
+            written = 0
+            for round_ in range(8):
+                pending = []  # appended since the last barrier, in order
+                for _ in range(rng.randrange(0, 12)):
+                    payload = encode_sample(EID, ATTR, float(written), rng.random())
+                    written += 1
+                    store.append(payload)
+                    pending.append(payload)
+                    if store.volatile_records == 0:
+                        survivors.extend(pending)  # rotation barrier
+                        pending = []
+                    elif rng.random() < 0.2:
+                        assert store.commit()
+                        survivors.extend(pending)
+                        pending = []
+                    assert list(store.resident()) == store.read_all(), (seed, round_)
+                # A cut anywhere in the volatile tail, often mid-frame.
+                tail = sum(len(encode_record(p)) for p in pending)
+                cut = rng.randrange(0, tail + 1) if tail else 0
+                truncated += store.torn_tails_truncated
+                store.crash(surviving_tail_bytes=cut)
+                for payload in pending:
+                    cut -= len(encode_record(payload))
+                    if cut < 0:
+                        break
+                    survivors.append(payload)
+                store = SegmentStore(str(root), max_segment_bytes=300)
+                assert list(store.resident()) == store.read_all() == survivors
+            store.close()
+            oracle = SegmentStore(str(tmp_path / f"oracle-{seed}"),
+                                  max_segment_bytes=300)
+            for payload in survivors:
+                oracle.append(payload)
+            oracle.close()
+            assert SegmentStore(str(root)).recover() == oracle.read_all() == survivors
+        # Reopens found torn tails and cut them before appending.
+        assert truncated
 
 
 class TestFaultPlanIntegration:
