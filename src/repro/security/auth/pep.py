@@ -2,8 +2,11 @@
 
 The PEP fronts every protected API: it introspects the bearer token with
 the OAuth server, asks the PDP, records an audit entry and returns the
-verdict.  It also provides adapters for the two enforcement surfaces the
-platform actually has:
+verdict.  A caller that has introspected the token itself (the north-facing
+service, which needs the principal first) passes the :class:`Token` to
+:meth:`PepProxy.authorize` instead, so each request introspects once.  It
+also provides adapters for the two enforcement surfaces the platform
+actually has:
 
 * MQTT broker ``authenticator``/``authorizer`` hooks (device CONNECT with
   token-as-password, per-farm topic ACLs);
@@ -16,7 +19,7 @@ from typing import Deque, List, Optional
 
 from repro.mqtt.broker import BrokerSession
 from repro.mqtt.packets import Connect, ConnectReturnCode
-from repro.security.auth.oauth import OAuthServer
+from repro.security.auth.oauth import OAuthServer, Token
 from repro.security.auth.pdp import PolicyDecisionPoint
 from repro.simkernel.simulator import Simulator
 
@@ -48,8 +51,6 @@ class PepProxy:
         self.audit_dropped = 0
         self.allowed_count = 0
         self.denied_count = 0
-        # Per-request processing latency model (token check + PDP walk).
-        self.overhead_s = 0.0015
         sim.metrics.register_counter("security.auth_checks", lambda: self.allowed_count,
                                      {"verdict": "allowed"})
         sim.metrics.register_counter("security.auth_checks", lambda: self.denied_count,
@@ -74,6 +75,10 @@ class PepProxy:
         if token is None:
             self._audit(None, action, resource, False, "invalid-token")
             return False
+        return self.authorize(token, action, resource)
+
+    def authorize(self, token: Token, action: str, resource: str) -> bool:
+        """The PDP verdict for a token the caller has just introspected."""
         principal = self.oauth.identity.get(token.principal_id)
         allowed = self.pdp.decide(principal, action, resource)
         self._audit(

@@ -12,9 +12,9 @@ Request lifecycle (``submit``/``handle``):
 1. **route** — method+path match (404 unknown path, 405 wrong method);
 2. **authenticate** — introspect the bearer token (401), resolve the
    tenant behind the principal (403);
-3. **authorize** — PEP check of the route's action against the resource
-   (the entity id for entity-scoped routes), then the tenant's own
-   namespace prefix check (403);
+3. **authorize** — the PEP's verdict on the route's action against the
+   resource (the entity id for entity-scoped routes) for the token step 2
+   introspected, then the tenant's own namespace prefix check (403);
 4. **admit** — the tenant's quota window (429) and backlog queue (503);
 5. **execute** — immediately (``handle()``, or ``submit()`` before
    ``start()``), or when the pump drains the backlog (``submit()`` once
@@ -44,7 +44,7 @@ from repro.context.errors import NotFoundError, QueryError
 from repro.context.history import HOUR_S, MINUTE_S, HistoryQuery, ShortTermHistory
 from repro.context.query import parse_filter_expression
 from repro.context.subscriptions import Subscription
-from repro.security.auth.oauth import OAuthError
+from repro.security.auth.oauth import OAuthError, Token
 from repro.security.auth.pdp import Policy
 from repro.service.cache import ResponseCache
 from repro.service.errors import (
@@ -219,7 +219,7 @@ class NgsiService:
         auth.identity.register(
             spec.name, spec.secret, kind="service", farm=auth.farm, roles={tenant.role}
         )
-        readable = tuple(dict.fromkeys(tenant.read_prefixes + tenant.write_prefixes))
+        readable = tenant.readable_prefixes
         read_pattern = "^(?:" + "|".join(re.escape(p) for p in readable) + ")"
         auth.pdp.add_policy(Policy(
             f"svc:{spec.name}:read", "permit", {"ngsi.read", "sth.read"},
@@ -352,9 +352,9 @@ class NgsiService:
             return self._execute(route, request, params, None, at_s)
         tenant: Optional[Tenant] = None
         try:
-            tenant = self._authenticate(request)
+            tenant, token = self._authenticate(request)
             resource = self._resource_for(route, request, params)
-            self._authorize(tenant, route, request, resource)
+            self._authorize(tenant, token, route, request, resource)
         except (ReproError, OAuthError) as exc:
             if tenant is not None:
                 tenant.rejected_auth += 1
@@ -381,7 +381,9 @@ class NgsiService:
             return self._record(request, tenant, at_s, response, cache_state="")
         return self._execute(route, request, params, tenant, at_s)
 
-    def _authenticate(self, request: Request) -> Tenant:
+    def _authenticate(self, request: Request) -> Tuple[Tenant, Token]:
+        """The tenant behind the bearer token, and the token introspected
+        (once per request: :meth:`_authorize` hands it to the PEP)."""
         if not request.token:
             raise AuthenticationError("missing bearer token")
         token = self.security.oauth.introspect(request.token)
@@ -392,7 +394,7 @@ class NgsiService:
             raise AuthorizationError(
                 f"principal {token.principal_id!r} is not a registered tenant"
             )
-        return tenant
+        return tenant, token
 
     def _resource_for(self, route: Route, request: Request, params: Dict[str, str]) -> str:
         entity_id = params.get("entity_id")
@@ -407,9 +409,9 @@ class NgsiService:
         return request.path
 
     def _authorize(
-        self, tenant: Tenant, route: Route, request: Request, resource: str
+        self, tenant: Tenant, token: Token, route: Route, request: Request, resource: str
     ) -> None:
-        if not self.security.pep.check(request.token, route.action, resource):
+        if not self.security.pep.authorize(token, route.action, resource):
             raise AuthorizationError(
                 f"{route.action} on {resource!r} denied for tenant {tenant.name!r}"
             )
@@ -448,10 +450,8 @@ class NgsiService:
                 if entity_id is not None:
                     self.cache.store(cache_key, response, entity_deps=(entity_id,))
                 else:
-                    scopes = tuple(
-                        dict.fromkeys(tenant.read_prefixes + tenant.write_prefixes)
-                    )
-                    self.cache.store(cache_key, response, scope_deps=scopes)
+                    self.cache.store(cache_key, response,
+                                     scope_deps=tenant.readable_prefixes)
         self.wall_time_s += time.perf_counter() - started
         return self._record(request, tenant, at_s, response, cache_state)
 

@@ -95,6 +95,10 @@ class Tenant:
         self.name = spec.name
         self.read_prefixes = tuple(spec.read_prefixes)
         self.write_prefixes = tuple(spec.write_prefixes)
+        #: Every prefix the tenant may read (its write prefixes too), each
+        #: once, in first-seen order.
+        self.readable_prefixes = tuple(
+            dict.fromkeys(self.read_prefixes + self.write_prefixes))
         self.quota = spec.quota
         self.limiter = RateLimiter(
             spec.quota.max_requests_per_window,
@@ -123,12 +127,10 @@ class Tenant:
         return f"svc-tenant:{self.name}"
 
     def may_read(self, entity_id: str) -> bool:
-        return any(entity_id.startswith(p) for p in self.read_prefixes) or any(
-            entity_id.startswith(p) for p in self.write_prefixes
-        )
+        return entity_id.startswith(self.readable_prefixes)
 
     def may_write(self, entity_id: str) -> bool:
-        return any(entity_id.startswith(p) for p in self.write_prefixes)
+        return entity_id.startswith(self.write_prefixes)
 
     def scope_entities(self, entities: List) -> List:
         """Filter a query result down to this tenant's readable namespace."""

@@ -674,52 +674,77 @@ class DurabilityService:
         wal_payloads = self.store.recover()
         self.recovery_wall_s += time.perf_counter() - started
         self.recoveries += 1
-        # Reassemble the durable sequence: retained chunks (ascending,
-        # gaps only where retention dropped whole chunks) then the WAL.
-        recovered: List[Tuple[int, bytes]] = []
         if self.compaction is not None:
-            columnar = self.compaction.columnar
-            for index in columnar.chunk_indexes():
-                chunk = columnar.read_chunk(index)
-                seq = chunk.header["first_seq"]
-                for entity_id, attr, t, v in chunk.iter_records():
-                    recovered.append((seq, encode_sample(entity_id, attr, t, v)))
-                    seq += 1
-            base_seq = columnar.wal_base_seq
-        for offset, payload in enumerate(wal_payloads):
-            recovered.append((base_seq + offset, payload))
+            base_seq = self.compaction.columnar.wal_base_seq
         recovered_end = base_seq + len(wal_payloads)
         if recovered_end < committed_before:
             # A committed record failed to survive — the invariant the
             # whole store exists to uphold.  Recorded, audited, fatal
             # to the chaos run's invariant check.
             self.lost_committed += committed_before - recovered_end
-        if not self._shadow_overflow:
-            for seq, payload in recovered:
-                if seq < self._run_first_seq:
-                    continue
-                pos = seq - self._run_first_seq
-                if pos >= len(self._shadow) or self._shadow[pos] != payload:
-                    self.prefix_consistent = False
-                    break
-        # The accepted-but-lost tail is gone with the process; the shadow
+        # One pass over the durable sequence feeds the history rebuild and
+        # audits this run's records against the shadow.  The shadow
         # restarts from the longest contiguous recovered suffix of this
-        # run's records (post-crash appends must extend it exactly).
-        suffix: List[bytes] = []
-        next_expected = recovered_end
-        for seq, payload in reversed(recovered):
-            if seq != next_expected - 1 or seq < self._run_first_seq:
-                break
-            suffix.append(payload)
-            next_expected = seq
-        suffix.reverse()
+        # run's records (post-crash appends must extend it exactly): a
+        # slice of the old shadow while the audit holds, else the
+        # recovered payloads collected from the suffix's start.
+        first = self._run_first_seq
+        shadow = self._shadow
+        kept: Optional[List[bytes]] = [] if self._shadow_overflow else None
+        count = 0
+        # The last of this run's records seen, and where its contiguous
+        # run started (sequence numbers ascend; retention leaves gaps).
+        last = run_start = -2
+
+        def samples():
+            nonlocal kept, count, last, run_start
+            for seq, sample, payload in self._durable_records(wal_payloads, base_seq):
+                count += 1
+                yield sample
+                if seq < first:
+                    continue
+                if seq != last + 1:
+                    run_start = seq
+                    if kept is not None:
+                        kept = []
+                last = seq
+                if payload is None:
+                    payload = encode_sample(*sample)
+                if kept is not None:
+                    kept.append(payload)
+                    continue
+                pos = seq - first
+                if pos >= len(shadow) or shadow[pos] != payload:
+                    self.prefix_consistent = False
+                    kept = shadow[run_start - first:pos] + [payload]
+
+        self.history.rebuild_from_samples(samples())
+        if last != recovered_end - 1:
+            suffix: List[bytes] = []
+        elif kept is not None:
+            suffix = kept
+        else:
+            suffix = shadow[run_start - first:recovered_end - first]
         self._shadow = suffix
         self._run_first_seq = recovered_end - len(suffix)
         self.run_appended = len(suffix)
-        self.history.rebuild_from_samples(
-            decode_sample(payload) for _seq, payload in recovered
-        )
-        return len(recovered)
+        return count
+
+    def _durable_records(
+        self, wal_payloads: List[bytes], base_seq: int,
+    ) -> Iterator[Tuple[int, SampleRecord, Optional[bytes]]]:
+        """``(seq, sample, payload)`` of every durable record in global
+        append order: retained chunks first (ascending, gaps only where
+        retention dropped whole chunks; no payload), then the WAL."""
+        if self.compaction is not None:
+            columnar = self.compaction.columnar
+            for index in columnar.chunk_indexes():
+                chunk = columnar.read_chunk(index)
+                for seq, sample in enumerate(chunk.iter_records(),
+                                             chunk.header["first_seq"]):
+                    yield seq, sample, None
+        for seq, payload in enumerate(wal_payloads, base_seq):
+            yield seq, decode_sample(payload), payload
 
     def report(self) -> dict:
         data = self.store.report()

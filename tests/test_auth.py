@@ -1,6 +1,8 @@
 """Tests for identity, OAuth2, PDP policies and the PEP proxy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mqtt import Connect, ConnectReturnCode
 from repro.security.auth import (
@@ -11,6 +13,8 @@ from repro.security.auth import (
     Policy,
     PolicyDecisionPoint,
 )
+from repro.security.auth.identity import Principal
+from repro.security.auth.pdp import MEMO_MAX
 from repro.simkernel import Simulator
 
 
@@ -227,6 +231,94 @@ class TestPdp:
         pdp.decide(principal, "read", "x")
         pdp.decide(principal, "write", "x")
         assert pdp.decisions == 2 and pdp.permits == 1 and pdp.denies == 1
+
+
+#: Policies the memo property test adds, in any order, repeats allowed.
+_MEMO_POLICIES = (
+    Policy("own-farm", "permit", {"read", "publish"}, r"^swamp/", same_farm=True),
+    Policy("farmers-read", "permit", {"read"}, r"^urn:", roles={"farmer"}),
+    Policy("admin-all", "permit", {"read", "write", "publish"}, r".*", roles={"admin"}),
+    Policy("farm-b-write", "permit", {"write"}, r"^swamp/", farms={"farmB"}),
+    Policy("no-secrets", "deny", {"read", "write"}, r"secret"),
+    Policy("viewers-no-write", "deny", {"write"}, r".*", roles={"viewer"}),
+)
+_ROLES = ("farmer", "admin", "viewer")
+_FARMS = ("farmA", "farmB", None)
+_who = st.integers(0, 2)
+_memo_ops = st.lists(st.one_of(
+    st.tuples(st.just("decide"), _who, st.sampled_from(("read", "write", "publish")),
+              st.sampled_from(("swamp/farmA/x", "swamp/farmB/x", "urn:e:1",
+                               "swamp/farmA/secret", "other"))),
+    st.tuples(st.just("add"), st.integers(0, len(_MEMO_POLICIES) - 1)),
+    st.tuples(st.just("grant"), _who, st.sampled_from(_ROLES)),
+    st.tuples(st.just("revoke"), _who, st.sampled_from(_ROLES)),
+    st.tuples(st.just("farm"), _who, st.sampled_from(_FARMS)),
+), max_size=80)
+
+
+class TestPdpMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_memo_ops)
+    def test_memo_equals_reference_walk(self, ops):
+        """Random interleavings of decisions with every change the walk
+        reads: each memoised verdict equals the un-memoised walk, and the
+        counts tally every call."""
+        _, identity, _, pdp, _ = make_stack()
+        principals = [
+            identity.register("alice", "pw", farm="farmA", roles={"farmer"}),
+            identity.register("bob", "pw", farm="farmB"),
+            # A distinct object with alice's id: the memo must not key on it.
+            Principal("alice", "user", "farmB", {"viewer"}),
+        ]
+        decisions = permits = 0
+        for op, *args in ops:
+            if op == "decide":
+                principal = principals[args[0]]
+                expected = pdp.walk(principal, args[1], args[2])
+                assert pdp.decide(principal, args[1], args[2]) == expected
+                decisions += 1
+                permits += expected
+            elif op == "add":
+                pdp.add_policy(_MEMO_POLICIES[args[0]])
+            elif op in ("grant", "revoke"):
+                who, role = args
+                if who < 2:
+                    change = identity.grant_role if op == "grant" else identity.revoke_role
+                    change(principals[who].principal_id, role)
+                elif op == "grant":
+                    principals[who].roles.add(role)
+                else:
+                    principals[who].roles.discard(role)
+            else:
+                principals[args[0]].farm = args[1]
+        assert pdp.decisions == decisions
+        assert pdp.permits == permits
+        assert pdp.denies == decisions - permits
+
+    def test_add_policy_invalidates_memo(self):
+        _, identity, _, pdp, _ = make_stack()
+        alice = identity.register("alice", "pw", farm="farmA", roles={"farmer"})
+        pdp.add_policy(Policy("p", "permit", {"read"}, r".*"))
+        assert pdp.decide(alice, "read", "swamp/farmA/x")
+        pdp.add_policy(Policy("d", "deny", {"read"}, r"farmA"))
+        assert not pdp.decide(alice, "read", "swamp/farmA/x")
+        assert isinstance(pdp.policies, tuple) and len(pdp.policies) == 2
+
+    def test_bound_counts_dropped_entries(self):
+        _, identity, _, pdp, _ = make_stack()
+        alice = identity.register("alice", "pw", farm="farmA", roles={"farmer"})
+        pdp.add_policy(Policy("own", "permit", {"read"}, r"^swamp/farmA/", roles={"farmer"}))
+        resources = [f"swamp/farm{'AB'[i % 2]}/r{i}" for i in range(MEMO_MAX + 100)]
+        for _round in range(2):
+            for resource in resources:
+                assert pdp.decide(alice, "read", resource) == pdp.walk(alice, "read", resource)
+        calls = 2 * len(resources)
+        assert pdp.decisions == calls
+        assert pdp.permits == calls // 2 and pdp.denies == calls // 2
+        # The resources cycle through more than the bound, so every call
+        # missed: each verdict stored is either still held or counted.
+        assert 0 < len(pdp._memo) <= MEMO_MAX
+        assert pdp.memo_dropped + len(pdp._memo) == calls
 
 
 class TestPepProxy:

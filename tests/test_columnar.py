@@ -9,8 +9,11 @@ recovers to exactly the reads an uninterrupted run serves.
 
 import dataclasses
 import math
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.context.broker import ContextBroker
 from repro.context.errors import QueryError
@@ -435,6 +438,113 @@ class TestKillPointMatrix:
             for q in ALL_SHAPES
         ]
         assert reads == reference["reads"]
+
+
+EID2 = "urn:AgriParcel:demo:0-1"
+
+
+def _durable_sequence(service, compaction):
+    """``(seq, payload)`` of every durable record, read back from disk:
+    retained chunks, then the WAL."""
+    records = []
+    columnar = compaction.columnar
+    for index in columnar.chunk_indexes():
+        chunk = columnar.read_chunk(index)
+        for seq, sample in enumerate(chunk.iter_records(), chunk.header["first_seq"]):
+            records.append((seq, encode_sample(*sample)))
+    records += enumerate(service.store.read_all(), columnar.wal_base_seq)
+    return records
+
+
+def _reference_audit(records, end, shadow, first, overflow):
+    """The list-based shadow audit: whether this run's recovered records
+    match the shadow, and the longest contiguous recovered suffix of
+    them (the next shadow)."""
+    consistent = True
+    if not overflow:
+        for seq, payload in records:
+            if seq < first:
+                continue
+            pos = seq - first
+            if pos >= len(shadow) or shadow[pos] != payload:
+                consistent = False
+                break
+    suffix = []
+    next_expected = end
+    for seq, payload in reversed(records):
+        if seq != next_expected - 1 or seq < first:
+            break
+        suffix.append(payload)
+        next_expected = seq
+    return consistent, suffix[::-1]
+
+
+#: (op, arg); a feed's arg is (samples, which entities: EID, EID2, both).
+_recovery_steps = st.lists(st.one_of(
+    st.tuples(st.just("feed"), st.tuples(st.integers(1, 40), st.integers(0, 2))),
+    st.tuples(st.just("flush"), st.just(0)),
+    st.tuples(st.just("compact"), st.just(0)),
+    st.tuples(st.just("crash"), st.integers(0, 25)),
+    st.tuples(st.just("tamper"), st.integers(0, 10**6)),
+), max_size=25)
+#: EID2's chunks age out while EID's stay, so retention can drop a chunk
+#: between two retained ones.
+_GAPPY_RETENTION = RetentionConfig(tenants=((EID2, RetentionPolicy(max_age_s=300.0)),))
+
+
+class TestStreamingRecovery:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_recovery_steps, shadow_cap=st.sampled_from((1_000_000, 7, 40)))
+    @example(steps=[("feed", (20, 0)), ("feed", (20, 1)), ("feed", (40, 0)),
+                    ("flush", 0), ("compact", 0), ("crash", 0)],
+             shadow_cap=1_000_000)  # an EID2-only chunk drops between EID chunks
+    def test_recovery_equals_list_reference(self, steps, shadow_cap):
+        """Crash recovery streams the durable records once; its audit,
+        next shadow, count and rebuilt history equal the list-based
+        reference's, through retention gaps, shadow overflow and a
+        shadow that disagrees with the disk."""
+        with tempfile.TemporaryDirectory() as root:
+            sim, broker, history, service, compaction = columnar_fixture(
+                root, entities=(EID, EID2), retention=_GAPPY_RETENTION)
+            service.shadow_cap = shadow_cap
+            fed = 0
+            for op, arg in steps + [("crash", 0)]:
+                if op == "feed":
+                    count, which = arg
+                    for i in range(fed, fed + count):
+                        sim.run_until(sim.now + 10.0)
+                        eid = (EID, EID2)[i % 2] if which == 2 else (EID, EID2)[which]
+                        broker.update_attributes(eid, {ATTR: 0.1 * (i % 13)})
+                    fed += count
+                elif op == "flush":
+                    service.flush_now()
+                elif op == "compact":
+                    compaction.compact_once()
+                elif op == "tamper":
+                    if service._shadow:
+                        service._shadow[arg % len(service._shadow)] = b"tampered"
+                else:
+                    shadow = list(service._shadow)
+                    first = service._run_first_seq
+                    overflow = service._shadow_overflow
+                    consistent = service.prefix_consistent
+                    count = service.crash_and_recover(surviving_tail_bytes=arg)
+                    records = _durable_sequence(service, compaction)
+                    end = compaction.columnar.wal_base_seq + len(service.store.read_all())
+                    ok, suffix = _reference_audit(records, end, shadow, first, overflow)
+                    assert count == len(records)
+                    assert service.prefix_consistent == (consistent and ok)
+                    assert service._shadow == suffix
+                    assert service.run_appended == len(suffix)
+                    assert service._run_first_seq == end - len(suffix)
+                    replica = ShortTermHistory(
+                        ContextBroker(Simulator(seed=1)), rollup_periods=(MINUTE_S,))
+                    replica.rebuild_from_samples(decode_sample(p) for _seq, p in records)
+                    for query in (HistoryQuery(EID, ATTR), HistoryQuery(EID2, ATTR),
+                                  HistoryQuery(EID, ATTR, period_s=MINUTE_S, method="sum")):
+                        assert history.read(query, source="memory").rows == \
+                            replica.read(query, source="memory").rows
+            service.store.close()
 
 
 class TestDamagedSealedSegment:

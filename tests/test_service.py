@@ -10,6 +10,7 @@ from repro.context.errors import NotFoundError, QueryError
 from repro.context.history import ShortTermHistory
 from repro.core.security_profile import SecurityConfig, SecurityStack
 from repro.security.auth.oauth import OAuthError
+from repro.security.auth.pdp import Policy
 from repro.service import (
     AuthenticationError,
     AuthorizationError,
@@ -113,6 +114,72 @@ class TestAuthentication:
         renewed = service.tenant_token("dash")
         assert renewed != first
         assert service.handle(Request("GET", "/v2/entities", token=renewed)).status == 200
+
+
+class TestAuthenticateOnceDecideOnce:
+    """One introspection per request, and no memoised permit outlives a
+    change to what it was derived from."""
+
+    def memoised_permit(self):
+        service = make_service()
+        seed_entities(service.broker)
+        token = register_dash(service)
+        request = Request("GET", f"/v2/entities/{FARM_PREFIX}0-0", token=token)
+        pdp = service.security.pdp
+        walk = pdp.walk
+        walks = []
+        pdp.walk = lambda *args: walks.append(args) or walk(*args)
+        assert service.handle(request).status == 200
+        assert service.handle(request).status == 200
+        assert len(walks) == 1  # the second request's permit came from the memo
+        return service, token, request
+
+    def test_revoked_token_is_401_on_the_next_request(self):
+        service, token, request = self.memoised_permit()
+        service.security.oauth.revoke(token)
+        assert service.handle(request).status == 401
+
+    def test_disabled_tenant_is_401_on_the_next_request(self):
+        service, _token, request = self.memoised_permit()
+        service.security.identity.disable("dash")
+        assert service.handle(request).status == 401
+
+    def test_revoked_role_is_403_on_the_next_request(self):
+        service, _token, request = self.memoised_permit()
+        service.security.identity.revoke_role("dash", service.tenant("dash").role)
+        assert service.handle(request).status == 403
+
+    def test_new_deny_policy_is_403_on_the_next_request(self):
+        service, _token, request = self.memoised_permit()
+        service.security.pdp.add_policy(
+            Policy("freeze", "deny", {"ngsi.read"}, "^" + FARM_PREFIX))
+        assert service.handle(request).status == 403
+
+    def test_one_introspection_per_request(self):
+        service = make_service()
+        seed_entities(service.broker)
+        token = register_dash(service)
+        oauth = service.security.oauth
+        introspect = oauth.introspect
+        calls = []
+        oauth.introspect = lambda access_token: (
+            calls.append(access_token) or introspect(access_token))
+        requests = [
+            Request("GET", f"/v2/entities/{FARM_PREFIX}0-0", token=token),
+            Request("GET", f"/v2/entities/{FARM_PREFIX}0-0", token=token),  # cache hit
+            Request("GET", "/v2/entities", token=token),
+            Request("POST", "/v2/entities",
+                    body={"id": f"{OPS_PREFIX}s1", "type": "T", "x": {"value": 1}},
+                    token=token),
+            Request("GET", "/v2/entities/urn:AgriParcel:other:0-0", token=token),  # 403
+            Request("GET", "/v2/entities", token="junk"),  # 401
+        ]
+        statuses = []
+        for request in requests:
+            before = len(calls)
+            statuses.append(service.handle(request).status)
+            assert len(calls) - before == 1
+        assert statuses == [200, 200, 200, 201, 403, 401]
 
 
 class TestTenantIsolation:
