@@ -9,13 +9,12 @@ Query filters use the small predicate language of NGSIv2's ``q`` parameter:
 — enough for every query the SWAMP services issue.
 """
 
-import re
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.context.entities import Attribute, ContextEntity
 from repro.context.errors import AlreadyExistsError, ContextError, NotFoundError, QueryError
-from repro.context.query import AttrFilter, Query
+from repro.context.query import AttrFilter, Query, compile_id_pattern
 from repro.context.subscriptions import Notification, Subscription, SubscriptionIndex
 from repro.resilience.backpressure import BackpressureError, DropPolicy
 from repro.simkernel.simulator import Simulator
@@ -305,7 +304,7 @@ class ContextBroker:
             filters = list(q.filters) + list(filters or [])
         self.metrics.queries += 1
         with self._m_query_latency:
-            regex = re.compile(id_pattern) if id_pattern else None
+            regex = compile_id_pattern(id_pattern)
             parsed = _coerce_filters(filters)
             # Narrow the scan through the type and attribute-presence
             # indexes: a predicate on an absent attribute never matches

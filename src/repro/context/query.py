@@ -12,6 +12,7 @@ wire strings — the north-facing service layer's ``GET /v2/entities`` —
 parse them with :func:`parse_filter_expression` before querying.
 """
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -85,6 +86,17 @@ def parse_filter_expression(expression: str) -> AttrFilter:
     except ValueError:
         value = raw
     return AttrFilter(attr, best_op, value)
+
+
+def compile_id_pattern(pattern: Optional[str]) -> Optional[re.Pattern]:
+    """An ``idPattern`` compiled, None when empty; a malformed one raises
+    :class:`QueryError`."""
+    if not pattern:
+        return None
+    try:
+        return re.compile(pattern)
+    except re.error as exc:
+        raise QueryError(f"invalid idPattern {pattern!r}: {exc}") from None
 
 
 def _is_number(value: Any) -> bool:

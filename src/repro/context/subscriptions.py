@@ -8,10 +8,10 @@ together than ``throttling_s``, exactly like Orion's ``throttling`` field.
 """
 
 import itertools
-import re
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.context.entities import ContextEntity
+from repro.context.query import compile_id_pattern
 
 _sub_ids = itertools.count(1)
 
@@ -48,6 +48,7 @@ class Subscription:
         throttling_s: float = 0.0,
         description: str = "",
         owner: Optional[str] = None,
+        owner_prefixes: Tuple[str, ...] = (),
     ) -> None:
         if entity_id is None and id_pattern is None and entity_type is None:
             raise ValueError("subscription must constrain id, idPattern or type")
@@ -56,8 +57,11 @@ class Subscription:
         #: Owning tenant for service-created subscriptions (None for
         #: library use); the service layer filters listings by it.
         self.owner = owner
+        #: The owner's readable entity-id prefixes: when set, entities
+        #: outside them never match, whatever the selector says.
+        self.owner_prefixes = tuple(owner_prefixes)
         self.entity_id = entity_id
-        self.id_regex = re.compile(id_pattern) if id_pattern else None
+        self.id_regex = compile_id_pattern(id_pattern)
         self.entity_type = entity_type
         self.condition_attrs = set(condition_attrs or [])
         self.notify_attrs = list(notify_attrs) if notify_attrs else None
@@ -75,7 +79,7 @@ class Subscription:
             return False
         if self.entity_type is not None and entity.entity_type != self.entity_type:
             return False
-        return True
+        return not self.owner_prefixes or entity.entity_id.startswith(self.owner_prefixes)
 
     def triggered_by(self, changed_attrs: List[str]) -> bool:
         # Condition-less subscriptions fire on *any* entity event,

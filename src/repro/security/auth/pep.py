@@ -5,12 +5,8 @@ the OAuth server, asks the PDP, records an audit entry and returns the
 verdict.  A caller that has introspected the token itself (the north-facing
 service, which needs the principal first) passes the :class:`Token` to
 :meth:`PepProxy.authorize` instead, so each request introspects once.  It
-also provides adapters for the two enforcement surfaces the platform
-actually has:
-
-* MQTT broker ``authenticator``/``authorizer`` hooks (device CONNECT with
-  token-as-password, per-farm topic ACLs);
-* context-API guard used by services before broker queries/updates.
+also provides the MQTT broker ``authenticator``/``authorizer`` hooks
+(device CONNECT with token-as-password, per-farm topic ACLs).
 """
 
 from collections import deque

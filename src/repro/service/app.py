@@ -14,13 +14,22 @@ Request lifecycle (``submit``/``handle``):
    tenant behind the principal (403);
 3. **authorize** — the PEP's verdict on the route's action against the
    resource (the entity id for entity-scoped routes) for the token step 2
-   introspected, then the tenant's own namespace prefix check (403);
+   introspected, then the tenant's own namespace prefix check (403); a
+   request naming no resource (a write body without an ``id``, the
+   regional route before it is enabled) is a 400 here;
 4. **admit** — the tenant's quota window (429) and backlog queue (503);
 5. **execute** — immediately (``handle()``, or ``submit()`` before
    ``start()``), or when the pump drains the backlog (``submit()`` once
    ``start()`` has spawned the pump); cacheable reads consult the
    response cache; handler errors translate through
    :mod:`repro.service.errors`.
+
+One route reads across tenant namespaces: the regional release,
+``GET /v2/regional/{entity_type}?attrs=a,b``.  It answers 400 until
+:meth:`NgsiService.enable_regional_release`, then the PDP permits it to
+the ``regional-analyst`` role only, and it returns k-anonymised records
+(a farm pseudonym, generalised quasi-identifiers and the requested
+attributes), never entities.
 
 Every request ends as one *record* — ``(seq, tenant, method, path,
 at_s, done_s, status, cache, body)`` — and the canonical JSON response
@@ -44,6 +53,7 @@ from repro.context.errors import NotFoundError, QueryError
 from repro.context.history import HOUR_S, MINUTE_S, HistoryQuery, ShortTermHistory
 from repro.context.query import parse_filter_expression
 from repro.context.subscriptions import Subscription
+from repro.security.anonymization import Anonymizer
 from repro.security.auth.oauth import OAuthError, Token
 from repro.security.auth.pdp import Policy
 from repro.service.cache import ResponseCache
@@ -63,6 +73,17 @@ __all__ = ["NgsiService", "ServiceConfig", "attach_service", "percentile"]
 
 #: STH ``aggrPeriod`` values → rollup period seconds.
 _AGGR_PERIODS = {"minute": MINUTE_S, "hour": HOUR_S}
+
+#: The regional release: its PDP action, the role the PDP permits it to,
+#: the attributes that re-identify a farm when joined with public
+#: registries, and the smallest group of records it lets out.
+REGIONAL_ACTION = "regional.read"
+REGIONAL_ROLE = "regional-analyst"
+REGIONAL_QUASI_IDENTIFIERS = ("lat", "lon", "area_ha", "crop")
+REGIONAL_K = 2
+
+#: The owning farm in a platform entity id, ``urn:<Type>:<farm>:...``.
+_FARM_IN_URN = re.compile(r"^urn:[^:]+:([^:]+):")
 
 
 @dataclass
@@ -100,6 +121,31 @@ def _render_entity(entity: ContextEntity, key_values: bool = False) -> Dict[str,
         attr = entity.attributes[name]
         body[name] = attr.value if key_values else _render_attribute(attr)
     return body
+
+
+def _json_object(value: Any, what: str) -> Dict[str, Any]:
+    """A JSON object from a request, ``{}`` when absent; anything else is a 400."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise QueryError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_field(obj: Dict[str, Any], key: str, kind: type) -> Any:
+    """``obj[key]``, None when absent; a value that is not a ``kind`` is a 400."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise QueryError(f"{key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _json_names(obj: Dict[str, Any], key: str) -> Optional[List[str]]:
+    """``obj[key]`` as a list of attribute names, None when absent."""
+    names = _json_field(obj, key, list)
+    if names is not None and not all(isinstance(name, str) for name in names):
+        raise QueryError(f"{key!r} must list attribute names")
+    return names
 
 
 def _body_attrs(body: Dict[str, Any]) -> Dict[str, Any]:
@@ -162,6 +208,9 @@ class NgsiService:
         #: At-least-once notification fan-out; None until
         #: :meth:`enable_delivery` opts in (keeps default runs untouched).
         self.delivery: Optional[DeliveryManager] = None
+        #: The regional release's anonymiser; None until
+        #: :meth:`enable_regional_release`.
+        self.anonymizer: Optional[Anonymizer] = None
         self.records: Deque[Dict[str, Any]] = deque(maxlen=self.config.max_records)
         self._seq = 0
         self._pump = None
@@ -204,6 +253,8 @@ class NgsiService:
         add("GET", "/v2/subscriptions/{sub_id}", self._h_get_sub, "ngsi.sub")
         add("DELETE", "/v2/subscriptions/{sub_id}", self._h_delete_sub, "ngsi.sub")
         add("POST", "/v2/subscriptions/{sub_id}/replay", self._h_replay_sub, "ngsi.sub")
+        # Last, so every other request matches before reaching it.
+        add("GET", "/v2/regional/{entity_type}", self._h_regional, REGIONAL_ACTION)
 
     def _on_broker_write(self, entity: ContextEntity, changed: List[str]) -> None:
         self.cache.note_write(entity.entity_id)
@@ -246,7 +297,7 @@ class NgsiService:
         ))
         tenant.token = auth.oauth.client_credentials_grant(
             spec.name, spec.secret, scope="ngsi"
-        ).access_token
+        )
         for prefix in readable:
             self.cache.register_scope(prefix)
         self._tenants[spec.name] = tenant
@@ -259,14 +310,15 @@ class NgsiService:
         return [self._tenants[name] for name in sorted(self._tenants)]
 
     def tenant_token(self, name: str) -> str:
-        """The tenant's current bearer token, re-granted if expired."""
+        """The tenant's current bearer token, re-granted once it has
+        expired or been revoked (no introspection: the service runs one
+        per request)."""
         tenant = self._tenants[name]
-        oauth = self.security.oauth
-        if tenant.token is None or oauth.introspect(tenant.token) is None:
-            tenant.token = oauth.client_credentials_grant(
+        if tenant.token is None or not tenant.token.active(self.sim.now):
+            tenant.token = self.security.oauth.client_credentials_grant(
                 tenant.principal_id, tenant.spec.secret, scope="ngsi"
-            ).access_token
-        return tenant.token
+            )
+        return tenant.token.access_token
 
     def enable_delivery(
         self,
@@ -285,6 +337,22 @@ class NgsiService:
         for endpoint in endpoints:
             self.delivery.register_endpoint(endpoint)
         return self.delivery
+
+    def enable_regional_release(self, secret_salt: bytes) -> None:
+        """Serve ``GET /v2/regional/{entity_type}`` to tenants holding the
+        ``regional-analyst`` role.
+
+        Until this is called the route answers 400 and no PDP row permits
+        it.  ``secret_salt`` keys the farm pseudonyms, so a second call is
+        refused rather than re-keying them.
+        """
+        if self.anonymizer is not None:
+            raise ValueError("regional release is already enabled")
+        self.anonymizer = Anonymizer(secret_salt, REGIONAL_QUASI_IDENTIFIERS)
+        self.security.pdp.add_policy(Policy(
+            "svc:regional", "permit", {REGIONAL_ACTION}, r"^/v2/regional/",
+            roles={REGIONAL_ROLE},
+        ))
 
     def _require_delivery(self) -> DeliveryManager:
         if self.delivery is None:
@@ -397,15 +465,23 @@ class NgsiService:
         return tenant, token
 
     def _resource_for(self, route: Route, request: Request, params: Dict[str, str]) -> str:
+        """What the PEP decides on: the entity id of an entity route or a
+        write, else the path.  A request with no such resource is a 400
+        before any decision: a write without an ``id``, or the regional
+        route before :meth:`enable_regional_release`."""
         entity_id = params.get("entity_id")
         if entity_id is not None:
             return entity_id
         if route.writes:
-            body = request.body or {}
-            entity_id = body.get("id")
+            entity_id = _json_field(_json_object(request.body, "entity payload"), "id", str)
             if not entity_id:
                 raise QueryError("entity payload must carry an 'id'")
             return entity_id
+        if route.action == REGIONAL_ACTION and self.anonymizer is None:
+            raise QueryError(
+                "regional release is not enabled on this service "
+                "(call enable_regional_release first)"
+            )
         return request.path
 
     def _authorize(
@@ -509,9 +585,9 @@ class NgsiService:
         )
 
     def _h_create_entity(self, request: Request, params, tenant: Tenant) -> Response:
-        body = request.body or {}
-        entity_id = body.get("id")
-        entity_type = body.get("type")
+        body = _json_object(request.body, "entity payload")
+        entity_id = _json_field(body, "id", str)
+        entity_type = _json_field(body, "type", str)
         if not entity_id or not entity_type:
             raise QueryError("entity payload must carry 'id' and 'type'")
         self.broker.create_entity(entity_id, entity_type, _body_attrs(body) or None)
@@ -531,7 +607,7 @@ class NgsiService:
 
     def _h_update_attrs(self, request: Request, params, tenant: Tenant) -> Response:
         entity_id = params["entity_id"]
-        attrs = _body_attrs(request.body or {})
+        attrs = _body_attrs(_json_object(request.body, "attribute payload"))
         if not attrs:
             raise QueryError("attribute payload must not be empty")
         self.broker.get_entity(entity_id)  # 404 before write, Orion-style
@@ -635,31 +711,44 @@ class NgsiService:
 
     def _h_create_sub(self, request: Request, params, tenant: Tenant) -> Response:
         delivery = self._require_delivery()
-        body = request.body or {}
-        subject = body.get("subject") or {}
-        entities = (subject.get("entities") or [{}])[0]
-        entity_id = entities.get("id")
-        id_pattern = entities.get("idPattern")
-        entity_type = entities.get("type")
+        body = _json_object(request.body, "subscription payload")
+        subject = _json_object(body.get("subject"), "subscription subject")
+        entities = _json_field(subject, "entities", list) or [{}]
+        selector = _json_object(entities[0], "subscription subject entity")
+        entity_id = _json_field(selector, "id", str)
+        id_pattern = _json_field(selector, "idPattern", str)
+        entity_type = _json_field(selector, "type", str)
+        if entity_id is None and id_pattern is None and entity_type is None:
+            raise QueryError("subscription subject must constrain id, idPattern or type")
         if entity_id is not None and not tenant.may_read(entity_id):
             raise AuthorizationError(
                 f"entity {entity_id!r} outside tenant {tenant.name!r} namespace"
             )
-        notification = body.get("notification") or {}
-        endpoint_name = notification.get("endpoint")
+        notification = _json_object(body.get("notification"), "subscription notification")
+        endpoint_name = _json_field(notification, "endpoint", str)
         if not endpoint_name:
             raise QueryError("subscription payload must carry notification.endpoint")
-        condition = (subject.get("condition") or {}).get("attrs")
+        condition = _json_object(subject.get("condition"), "subscription condition")
+        throttling = body.get("throttling", 0.0)
+        try:
+            throttling_s = float(throttling)
+        except (TypeError, ValueError):
+            raise QueryError(
+                f"subscription throttling must be a number, got {type(throttling).__name__}"
+            ) from None
         sub = Subscription(
             callback=lambda _n: None,
             entity_id=entity_id,
             id_pattern=id_pattern,
             entity_type=entity_type,
-            condition_attrs=condition,
-            notify_attrs=notification.get("attrs"),
-            throttling_s=float(body.get("throttling", 0.0)),
+            condition_attrs=_json_names(condition, "attrs"),
+            notify_attrs=_json_names(notification, "attrs"),
+            throttling_s=throttling_s,
             description=str(body.get("description", "")),
             owner=tenant.name,
+            # Notifications stay inside the tenant's namespace, whatever
+            # idPattern or type the subject selects.
+            owner_prefixes=tenant.readable_prefixes,
         )
         delivery.bind_subscription(sub, tenant.name, endpoint_name)
         self.broker.subscribe(sub)
@@ -692,6 +781,23 @@ class NgsiService:
         sub = self._owned_subscription(tenant, params["sub_id"])
         replayed = delivery.replay(tenant.name, sub.subscription_id)
         return Response(200, {"replayed": replayed})
+
+    def _h_regional(self, request: Request, params, tenant: Tenant) -> Response:
+        """Every entity of the type, whichever tenant's, as its farm,
+        quasi-identifiers and ``attrs``; only the anonymiser's output leaves."""
+        names = REGIONAL_QUASI_IDENTIFIERS + tuple(
+            name for name in request.param("attrs", "").split(",") if name)
+        records = []
+        for entity in self.broker.query(entity_type=params["entity_type"]):
+            record = {}
+            for name in names:
+                value = entity.get(name)
+                if value is not None:
+                    record[name] = value
+            farm = _FARM_IN_URN.match(entity.entity_id)
+            record["farm"] = farm.group(1) if farm else entity.entity_id
+            records.append(record)
+        return Response(200, self.anonymizer.anonymize(records, k=REGIONAL_K))
 
     # -- reporting -----------------------------------------------------------
 

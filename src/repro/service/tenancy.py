@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience.backpressure import BoundedQueue, DropPolicy, RateLimiter
+from repro.security.auth.oauth import Token
 
 __all__ = ["Tenant", "TenantQuota", "TenantSpec"]
 
@@ -106,8 +107,8 @@ class Tenant:
             policy=DropPolicy.REJECT,
         )
         self.backlog = BoundedQueue(spec.quota.max_backlog, policy=DropPolicy.REJECT)
-        #: Bearer token issued at registration (rotated on expiry).
-        self.token: Optional[str] = None
+        #: Bearer token granted at registration (re-granted once inactive).
+        self.token: Optional[Token] = None
         self.principal_id = spec.name
         # Admission accounting (the service also mirrors these into the
         # metrics registry; plain ints keep the report path allocation-free).

@@ -271,6 +271,36 @@ class TestServiceSubscriptionRoutes:
                   "notification": {"endpoint": "dash-hook"}}))
         assert response.status == 403
 
+    @pytest.mark.parametrize("selector", [{"idPattern": ".*"}, {"type": "AgriParcel"}])
+    def test_subject_matches_only_inside_the_namespace(self, selector):
+        foreign = "urn:AgriParcel:other:0-0"
+
+        def run(foreign_updates):
+            service, token, _ = make_service()
+            sim, broker = service.sim, service.broker
+            broker.create_entity(foreign, "AgriParcel", {"soilMoisture": 0.9})
+            sub_id = create_sub(service, token, throttling=8.0,
+                                subject={"entities": [selector]})
+            for i in range(5):
+                if foreign_updates:
+                    broker.update_attributes(foreign, {"soilMoisture": 0.5 + 0.01 * i})
+                sim.run_until(sim.now + 1.0)
+                broker.update_attributes(EID, {"soilMoisture": 0.2 + 0.01 * i})
+                sim.run_until(sim.now + 5.0)
+            sim.run_until(sim.now + 1000.0)
+            sub = broker.subscriptions[sub_id]
+            body = service.handle(
+                Request("GET", f"/v2/subscriptions/{sub_id}", token=token)).body
+            return (body["notification"]["timesSent"], sub.notifications_throttled,
+                    sub.last_notification_time, body["delivery"]["accepted"])
+
+        # Own updates every 6 s under an 8 s throttle: sent, throttled,
+        # sent, throttled, sent.  Foreign updates send nothing, add nothing
+        # to timesSent and open no throttle window.
+        with_foreign = run(foreign_updates=True)
+        assert with_foreign == run(foreign_updates=False)
+        assert with_foreign[:2] == (3, 2)
+
     def test_create_without_endpoint_is_400(self):
         service, token, _ = make_service()
         response = service.handle(Request(

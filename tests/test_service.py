@@ -6,9 +6,13 @@ import pytest
 
 import repro.api as api
 from repro.context.broker import ContextBroker
+from repro.context.delivery import SimulatedEndpoint
 from repro.context.errors import NotFoundError, QueryError
 from repro.context.history import ShortTermHistory
 from repro.core.security_profile import SecurityConfig, SecurityStack
+from repro.fog.replication import CloudSyncTarget, Replicator
+from repro.network import Network, RadioModel
+from repro.security.anonymization import pseudonymize
 from repro.security.auth.oauth import OAuthError
 from repro.security.auth.pdp import Policy
 from repro.service import (
@@ -27,6 +31,7 @@ from repro.service import (
     has_error_mapping,
     status_for,
 )
+from repro.service.app import REGIONAL_ROLE
 from repro.simkernel.simulator import Simulator
 
 FARM_PREFIX = "urn:AgriParcel:demo:"
@@ -233,6 +238,220 @@ class TestTenantIsolation:
         assert ids_a and ids_b and not (ids_a & ids_b)
 
 
+class FarmRig:
+    """Two farms' fog tiers replicating into the broker one service
+    fronts; each farm is a tenant over its own AgriParcel prefix."""
+
+    FARMS = ("farma", "farmb")
+    SALT = b"region"
+
+    def __init__(self, seed=5):
+        self.sim = Simulator(seed=seed)
+        net = Network(self.sim)
+        broker = ContextBroker(self.sim, name="cloud:context")
+        self.service = NgsiService(
+            self.sim, broker, ShortTermHistory(broker),
+            SecurityStack(self.sim, "cloud", SecurityConfig()),
+        )
+        self.farm_contexts = {}
+        wan = RadioModel("wan", latency_s=0.05, bandwidth_bps=8e6, loss_rate=0.0)
+        for farm in self.FARMS:
+            context = ContextBroker(self.sim, name=f"{farm}:context")
+            self.farm_contexts[farm] = context
+            CloudSyncTarget(self.sim, net, f"cloud:sync:{farm}", broker)
+            Replicator(self.sim, net, f"{farm}:sync", context,
+                       f"cloud:sync:{farm}", sync_interval_s=10.0)
+            net.connect(f"{farm}:sync", f"cloud:sync:{farm}", wan)
+            self.service.register_tenant(
+                TenantSpec(farm, f"{farm}-secret", (f"urn:AgriParcel:{farm}:",)))
+
+    def token(self, tenant):
+        return self.service.tenant_token(tenant)
+
+    def get(self, path, token, **params):
+        return self.service.handle(Request("GET", path, params=params, token=token))
+
+    def parcels(self, parcels):
+        """Create parcels on their farms' fog brokers and let them replicate."""
+        for entity_id, attrs in parcels.items():
+            farm = entity_id.split(":")[2]
+            self.farm_contexts[farm].ensure_entity(entity_id, "AgriParcel", attrs)
+        self.sim.run(until=self.sim.now + 120.0)
+
+    def seed_data(self):
+        # The two farms sit in different grid cells.
+        self.parcels({
+            "urn:AgriParcel:farma:0-0": {
+                "soilMoisture": 0.25, "crop": "soybean", "area_ha": 400.0,
+                "lat": -12.1, "lon": -45.2, "yield_t_ha": 3.9},
+            "urn:AgriParcel:farmb:0-0": {
+                "soilMoisture": 0.31, "crop": "soybean", "area_ha": 420.0,
+                "lat": -12.3, "lon": -45.4, "yield_t_ha": 4.1},
+        })
+
+    def seed_shared_cell(self):
+        # Two parcels of farma and one of farmb in one 0.1° cell, one
+        # area bucket and one crop.
+        self.parcels({
+            f"urn:AgriParcel:{farm}:{parcel}": {
+                "soilMoisture": 0.2, "crop": "soybean", "area_ha": area,
+                "lat": lat, "lon": lon, "yield_t_ha": yield_t_ha}
+            for farm, parcel, area, lat, lon, yield_t_ha in (
+                ("farma", "0-1", 410.0, -12.12, -45.22, 4.0),
+                ("farma", "0-2", 390.0, -12.17, -45.27, 3.8),
+                ("farmb", "0-1", 430.0, -12.14, -45.24, 4.2),
+            )
+        })
+
+    def analyst_token(self, enable=True):
+        service = self.service
+        service.register_tenant(TenantSpec("analyst", "analyst-secret", ("urn:Report:",)))
+        service.security.identity.grant_role("analyst", REGIONAL_ROLE)
+        if enable:
+            service.enable_regional_release(self.SALT)
+        return self.token("analyst")
+
+
+class TestFarmTenants:
+    """Per-farm isolation through the service: a farm is a tenant over
+    its own prefix, and farms replicate into the broker it fronts."""
+
+    def test_both_farms_replicate_into_the_served_broker(self):
+        rig = FarmRig()
+        rig.seed_data()
+        assert rig.service.broker.has_entity("urn:AgriParcel:farma:0-0")
+        assert rig.service.broker.has_entity("urn:AgriParcel:farmb:0-0")
+
+    def test_duplicate_farm_tenant_rejected(self):
+        rig = FarmRig()
+        with pytest.raises(ValueError):
+            rig.service.register_tenant(
+                TenantSpec("farma", "x", ("urn:AgriParcel:farma:",)))
+
+    def test_own_farm_readable(self):
+        rig = FarmRig()
+        rig.seed_data()
+        response = rig.get("/v2/entities/urn:AgriParcel:farma:0-0", rig.token("farma"))
+        assert response.status == 200
+        assert response.body["soilMoisture"]["value"] == 0.25
+
+    def test_cross_farm_read_denied_and_audited(self):
+        rig = FarmRig()
+        rig.seed_data()
+        response = rig.get("/v2/entities/urn:AgriParcel:farmb:0-0", rig.token("farma"))
+        assert response.status == 403
+        denied = rig.service.security.pep.denied_records()
+        assert [(r.principal, r.action, r.resource) for r in denied] == [
+            ("farma", "ngsi.read", "urn:AgriParcel:farmb:0-0")]
+
+    def test_listing_omits_other_farms(self):
+        rig = FarmRig()
+        rig.seed_data()
+        response = rig.get("/v2/entities", rig.token("farma"), type="AgriParcel")
+        assert [e["id"] for e in response.body] == ["urn:AgriParcel:farma:0-0"]
+
+    def test_tenant_over_every_farm_sees_everything(self):
+        rig = FarmRig()
+        rig.seed_data()
+        rig.service.register_tenant(TenantSpec("admin", "s", ("urn:AgriParcel:",)))
+        response = rig.get("/v2/entities", rig.token("admin"), type="AgriParcel")
+        assert len(response.body) == 2
+
+    def test_bogus_token_is_401(self):
+        rig = FarmRig()
+        rig.seed_data()
+        assert rig.get("/v2/entities/urn:AgriParcel:farma:0-0", "garbage").status == 401
+
+    def test_missing_own_entity_is_404(self):
+        rig = FarmRig()
+        assert rig.get(
+            "/v2/entities/urn:AgriParcel:farma:9-9", rig.token("farma")).status == 404
+
+
+class TestRegionalRelease:
+    """``GET /v2/regional/{entity_type}``: the one read across tenants,
+    k-anonymised and permitted to the regional-analyst role only."""
+
+    PATH = "/v2/regional/AgriParcel"
+
+    def test_analyst_gets_k_anonymous_release(self):
+        rig = FarmRig()
+        rig.seed_data()
+        rig.seed_shared_cell()
+        response = rig.get(self.PATH, rig.analyst_token(), attrs="yield_t_ha")
+        assert response.status == 200
+        release = response.body
+        assert len(release) == 3  # the two farms' 0-0 parcels are unique
+        assert rig.service.anonymizer.suppressed_count == 2
+        for record in release:
+            assert set(record) == {"farm", "lat", "lon", "area_ha", "crop", "yield_t_ha"}
+            assert "farma" not in str(record) and "farmb" not in str(record)
+            for key in ("lat", "lon"):  # generalised to the 0.1° grid
+                remainder = record[key] % 0.1
+                assert min(remainder, 0.1 - remainder) < 1e-9
+            assert record["area_ha"] == ">=200"
+        assert sorted(r["yield_t_ha"] for r in release) == [3.8, 4.0, 4.2]
+        assert rig.service.records[-1]["cache"] == ""  # never cached
+
+    def test_pseudonym_is_the_farm_segment_of_the_id(self):
+        rig = FarmRig()
+        rig.seed_shared_cell()
+        release = rig.get(self.PATH, rig.analyst_token()).body
+        farma, farmb = (pseudonymize(farm, FarmRig.SALT) for farm in FarmRig.FARMS)
+        # Two parcels of one farm share its pseudonym.
+        assert sorted(r["farm"] for r in release) == sorted([farma, farma, farmb])
+
+    def test_id_without_a_farm_segment_is_pseudonymised_whole(self):
+        rig = FarmRig()
+        token = rig.analyst_token()
+        ids = ("plain-id", "urn:Valve:valve-1")
+        for entity_id in ids:
+            rig.service.broker.create_entity(
+                entity_id, "Valve", {"lat": -12.1, "lon": -45.2, "crop": "none"})
+        release = rig.get("/v2/regional/Valve", token).body
+        assert sorted(r["farm"] for r in release) == sorted(
+            pseudonymize(entity_id, FarmRig.SALT) for entity_id in ids)
+
+    def test_unique_quasi_identifiers_are_suppressed(self):
+        rig = FarmRig()
+        rig.seed_data()
+        response = rig.get(self.PATH, rig.analyst_token(), attrs="yield_t_ha")
+        # The two farms sit in different grid cells, so each
+        # quasi-identifier combination is unique and k=2 suppresses both.
+        assert response.status == 200 and response.body == []
+        assert rig.service.anonymizer.suppressed_count == 2
+
+    def test_farmer_is_403_and_audited(self):
+        rig = FarmRig()
+        rig.seed_data()
+        rig.analyst_token()
+        response = rig.get(self.PATH, rig.token("farma"), attrs="yield_t_ha")
+        assert response.status == 403
+        denied = rig.service.security.pep.denied_records()
+        assert [(r.principal, r.action, r.resource) for r in denied] == [
+            ("farma", "regional.read", self.PATH)]
+        assert rig.service.anonymizer.suppressed_count == 0  # nothing was released
+
+    def test_junk_token_is_401(self):
+        rig = FarmRig()
+        rig.seed_data()
+        rig.analyst_token()
+        assert rig.get(self.PATH, "junk").status == 401
+
+    def test_route_is_400_until_enabled(self):
+        rig = FarmRig()
+        rig.seed_data()
+        token = rig.analyst_token(enable=False)
+        for tenant_token in (token, rig.token("farma")):
+            response = rig.get(self.PATH, tenant_token)
+            assert response.status == 400
+            assert "not enabled" in response.body["description"]
+        rig.service.enable_regional_release(FarmRig.SALT)
+        assert rig.get(self.PATH, token).status == 200
+        with pytest.raises(ValueError):
+            rig.service.enable_regional_release(b"other")
+
+
 class TestEntityApi:
     def test_crud_round_trip(self):
         service = make_service()
@@ -297,6 +516,36 @@ class TestEntityApi:
         assert page.headers["Fiware-Total-Count"] == "3"
         assert len(page.body) == 2
         assert page.body[0]["soilMoisture"] == pytest.approx(0.3)
+
+
+class TestMalformedInput:
+    """Malformed request input answers 400 and is logged; nothing raises
+    out of ``handle()``."""
+
+    @pytest.mark.parametrize("method,path,params,body", [
+        ("POST", "/v2/entities", {}, [{"id": f"{OPS_PREFIX}s1", "type": "T"}]),
+        ("PATCH", f"/v2/entities/{OPS_PREFIX}s1/attrs", {}, [{"x": 1}]),
+        ("GET", "/v2/entities", {"idPattern": "("}, None),
+        ("POST", "/v2/subscriptions", {},
+         {"subject": {"entities": [{"idPattern": "("}]},
+          "notification": {"endpoint": "hook"}}),
+        ("POST", "/v2/subscriptions", {},
+         {"subject": {"entities": [{"id": f"{FARM_PREFIX}0-0"}]},
+          "notification": {"endpoint": "hook"}, "throttling": "often"}),
+        ("POST", "/v2/subscriptions", {},
+         {"subject": {"entities": []}, "notification": {"endpoint": "hook"}}),
+    ], ids=["entity-body-list", "attrs-body-list", "id-pattern", "sub-id-pattern",
+            "sub-throttling", "sub-no-entities"])
+    def test_answers_400(self, method, path, params, body):
+        service = make_service()
+        service.enable_delivery(endpoints=(SimulatedEndpoint("hook"),))
+        seed_entities(service.broker)
+        token = register_dash(service)
+        response = service.handle(
+            Request(method, path, params=params, body=body, token=token))
+        assert response.status == 400
+        assert response.body["error"] == "BadRequest"
+        assert service.records[-1]["status"] == 400
 
 
 class TestQuotas:
@@ -566,6 +815,31 @@ class TestLoadgenAndRun:
             return result.service.response_log_digest()
 
         assert one_run() == one_run()
+
+    def test_replay_introspects_once_per_request(self):
+        from repro.service import schedule_trace, standard_trace
+
+        service = make_service()
+        seed_entities(service.broker)
+        trace = standard_trace(seed=5, duration_s=120.0, farm="demo",
+                               entity_ids=[f"{FARM_PREFIX}0-{i}" for i in range(3)])
+        oauth = service.security.oauth
+        introspect = oauth.introspect
+        calls = []
+        oauth.introspect = lambda access_token: (
+            calls.append(access_token) or introspect(access_token))
+        scheduled = schedule_trace(service, trace)
+        service.sim.run_until(trace.duration_s + 10.0)
+        assert scheduled == len(service.records) > 100
+        assert len(calls) == scheduled  # the service's own, none client-side
+
+    def test_revoked_tenant_token_is_regranted(self):
+        service = make_service()
+        token = register_dash(service)
+        service.security.oauth.revoke(token)
+        renewed = service.tenant_token("dash")
+        assert renewed != token
+        assert service.handle(Request("GET", "/v2/entities", token=renewed)).status == 200
 
     def test_serve_trace_conflicts_with_chaos(self):
         from repro.core.run import RunOptions, run
