@@ -37,6 +37,7 @@ from repro.core.run import RunOptions, run
 from repro.core.security_profile import SecurityConfig
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.resilience import ResilienceConfig
+from repro.service.errors import ServiceError
 from repro.store import StoreError
 
 SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
@@ -176,10 +177,10 @@ def _write_file(path: str, text: str, what: str) -> None:
 
 
 def _run_or_exit(options: RunOptions):
-    """:func:`run`, with the library's option errors as an error line."""
+    """:func:`run`, with the library's option and trace errors as an error line."""
     try:
         return run(options)
-    except (CheckpointError, StoreError) as exc:
+    except (CheckpointError, StoreError, ServiceError) as exc:
         raise SystemExit(str(exc))
 
 

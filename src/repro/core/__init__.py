@@ -11,9 +11,8 @@ configurations" (cloud, fog, mobile fog):
   engine with quarantine);
 * :mod:`~repro.core.pilot` — :class:`PilotConfig`/:class:`PilotRunner`:
   one configured farm running a full season end-to-end;
-* :mod:`~repro.core.stages` — the builder stages that register each
-  architectural layer as a service on the
-  :class:`~repro.platform.registry.PlatformRuntime`;
+* :mod:`~repro.core.stages` — the assembly steps that build each
+  architectural layer, in the order ``PilotRunner`` calls them;
 * :mod:`~repro.core.pilots` — factories for the four pilots (CBEC,
   Intercrop, Guaspari, MATOPIBA).
 """

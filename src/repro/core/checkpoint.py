@@ -14,8 +14,7 @@ things that *are* picklable:
   event-queue signature incl. the tie-break counter, every RNG stream's
   ``getstate`` tuple, trace counters) plus run accounting.
 
-Restore rebuilds the runner from the recipe (``rebuilding=True`` flows
-through the platform runtime's rebuild hooks), replays deterministically
+Restore rebuilds the runner from the recipe, replays deterministically
 from time zero to the barrier with
 :meth:`~repro.simkernel.simulator.Simulator.run_until`, then verifies the
 rebuilt kernel's fingerprint against the snapshot.  Because the whole
@@ -83,9 +82,9 @@ class RunRecipe:
     builder_kwargs: Dict[str, Any] = dataclass_field(default_factory=dict)
     config: Optional[PilotConfig] = None
 
-    def build(self, rebuilding: bool = True) -> PilotRunner:
+    def build(self) -> PilotRunner:
         if self.config is not None:
-            return PilotRunner(self.config, rebuilding=rebuilding)
+            return PilotRunner(self.config)
         from repro.core.pilots import PILOT_BUILDERS
 
         builder = PILOT_BUILDERS.get(self.pilot)
@@ -94,7 +93,7 @@ class RunRecipe:
                 f"unknown pilot {self.pilot!r} in checkpoint recipe; "
                 f"choose from {sorted(PILOT_BUILDERS)}"
             )
-        return builder(rebuilding=rebuilding, **self.builder_kwargs)
+        return builder(**self.builder_kwargs)
 
 
 @dataclass
@@ -200,7 +199,7 @@ def restore(source: Any) -> RestoredRun:
     checkpoint = load_checkpoint(source) if isinstance(source, str) else source
     if not isinstance(checkpoint, RunCheckpoint):
         raise CheckpointError(f"cannot restore from {type(checkpoint).__name__}")
-    runner = checkpoint.recipe.build(rebuilding=True)
+    runner = checkpoint.recipe.build()
     runner.start_season()
     runner.sim.run_until(checkpoint.barrier_s)
     replay_wall_s = runner.sim.wall_time_s

@@ -7,13 +7,9 @@ growing season.  All experiments (benchmarks/) run through this class so
 that every number reported comes from the full pipeline, not from a
 shortcut around it.
 
-Assembly is delegated to the builder stages in :mod:`repro.core.stages`:
-each stage registers named services on a
-:class:`~repro.platform.registry.PlatformRuntime`, which starts them in
-dependency order and shuts them down (via a simulator shutdown hook) when
-the run ends.  The runner keeps its flat attribute surface — ``.agent``,
-``.field``, ``.scheduler`` and friends — so callers are unaffected by the
-layering underneath.
+Assembly runs the steps in :mod:`repro.core.stages` in a fixed order,
+each building one layer onto the runner's flat attribute surface —
+``.agent``, ``.field``, ``.scheduler`` and friends.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -21,7 +17,18 @@ from typing import Callable, Dict, Optional
 
 from repro.core.deployment import DeploymentKind
 from repro.core.security_profile import SecurityConfig, SecurityStack
-from repro.core.stages import FaultInjectionStage, ResilienceStage, default_stages
+from repro.core.stages import (
+    build_devices,
+    build_fault_injector,
+    build_physics,
+    build_resilience,
+    build_scheduler,
+    build_security,
+    build_tiers,
+    provision_devices,
+    start_agent,
+    wire_security,
+)
 from repro.devices.actuators import CenterPivot, Valve
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -35,7 +42,6 @@ from repro.network.topology import Network
 from repro.physics.crop import Crop
 from repro.physics.soil import LOAM, SoilProperties
 from repro.physics.weather import ClimateProfile
-from repro.platform.registry import PlatformRuntime
 from repro.resilience import CircuitBreaker, DegradedModePolicy, ResilienceConfig, Supervisor
 from repro.simkernel.clock import DAY, HOUR
 from repro.simkernel.simulator import Simulator
@@ -80,17 +86,17 @@ class PilotConfig:
     # zero-overhead hot paths.
     metrics_enabled: bool = True
     # Declarative chaos: a schedule of typed fault events executed by a
-    # FaultInjector service (see repro/faults/).  None keeps the service
-    # graph — and seed-pinned event sequences — exactly fault-free.
+    # FaultInjector (see repro/faults/).  None skips that assembly step,
+    # so seed-pinned event sequences stay exactly fault-free.
     fault_plan: Optional[FaultPlan] = None
     # The resilience layer (supervision, backpressure, uplink breaker,
     # degraded-mode autonomy — see repro/resilience/).  Same contract as
-    # fault_plan: None keeps the pinned service graph untouched.
+    # fault_plan: None skips its assembly step.
     resilience: Optional[ResilienceConfig] = None
     # End-to-end causal tracing (see repro/telemetry/tracing.py).  Same
     # contract again: None installs the shared NULL_TRACER, so the pinned
-    # service graph and event sequences are untouched; a TraceConfig —
-    # even TraceConfig() — enables span collection.
+    # event sequences are untouched; a TraceConfig — even TraceConfig() —
+    # enables span collection.
     tracing: Optional[TraceConfig] = None
     # Kernel profiling: wall/sim-time accounting per event key (see
     # repro/telemetry/profile.py).  Reads perf_counter only; never
@@ -142,9 +148,9 @@ class PilotReport:
 
 
 class PilotRunner:
-    """Assembles one pilot on a :class:`PlatformRuntime` and drives it.
+    """Assembles one pilot and drives it.
 
-    Layer attributes populated by the builder stages (kept flat here for
+    Layer attributes set by the assembly steps (kept flat here for
     callers): ``security``, ``cloud``, ``fog``, ``replicator``,
     ``broker_address``, ``context``, ``history``, ``agent``, ``field``,
     ``weather``, ``ndvi_trackers``, ``pump``, ``flow_meter``,
@@ -165,7 +171,7 @@ class PilotRunner:
     uplink_breaker: Optional[CircuitBreaker]
     degraded_mode: Optional[DegradedModePolicy]
 
-    def __init__(self, config: PilotConfig, *, rebuilding: bool = False) -> None:
+    def __init__(self, config: PilotConfig) -> None:
         self.config = config
         metrics = MetricsRegistry(enabled=config.metrics_enabled)
         if config.tracing is not None:
@@ -179,21 +185,24 @@ class PilotRunner:
         if self.profiler is not None:
             self.profiler.install_metrics(metrics)
         self.net = Network(self.sim, name=config.name)
-        self.runtime = PlatformRuntime(metrics=metrics)
         self.fault_injector = None
         self.supervisor = None
         self.uplink_breaker = None
         self.degraded_mode = None
-        self.stages = default_stages()
+        # The step order fixes the sequence numbers of each layer's first
+        # events (see repro.core.stages).
+        build_security(self)
+        build_tiers(self)
+        start_agent(self)
+        build_physics(self)
+        build_devices(self)
+        provision_devices(self)
+        build_scheduler(self)
+        wire_security(self)
         if config.fault_plan is not None:
-            self.stages.append(FaultInjectionStage())
+            build_fault_injector(self)
         if config.resilience is not None:
-            self.stages.append(ResilienceStage())
-        for stage in self.stages:
-            stage.register(self)
-        self.runtime.start(rebuilding=rebuilding)
-        # Wind the services down when the simulation run ends.
-        self.sim.add_shutdown_hook(self.runtime.shutdown)
+            build_resilience(self)
         self.season_day = 0
         self._daily_process = None
         self._report_cache: Optional[PilotReport] = None
@@ -318,7 +327,7 @@ class PilotRunner:
         self.sim.run(until=self.sim.now + days * DAY)
 
     def run_until(self, t: float) -> float:
-        """Advance to the barrier ``t`` without firing shutdown hooks.
+        """Advance to the barrier ``t``.
 
         Segmented execution for checkpointing: a later :meth:`run_days` /
         ``sim.run`` continues bit-identically from the barrier.

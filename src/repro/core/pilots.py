@@ -39,7 +39,6 @@ def build_cbec_pilot(
     seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
     resilience: ResilienceConfig = None, tracing: TraceConfig = None,
     profile: bool = False, scheduler_kind: str = "smart",
-    rebuilding: bool = False,
 ) -> Tuple[PilotRunner, DistributionNetwork]:
     """CBEC: tomato on the Emilia plain, canal-fed, cloud deployment."""
     reservoir = Reservoir("po-offtake", capacity_m3=60_000.0)
@@ -76,14 +75,13 @@ def build_cbec_pilot(
         profile=profile,
         seed=seed,
     )
-    return PilotRunner(config, rebuilding=rebuilding), network
+    return PilotRunner(config), network
 
 
 def build_intercrop_pilot(
     seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
     resilience: ResilienceConfig = None, tracing: TraceConfig = None,
     profile: bool = False, scheduler_kind: str = "smart",
-    rebuilding: bool = False,
 ) -> Tuple[PilotRunner, SourceMixOptimizer]:
     """Intercrop: lettuce near Cartagena, desalination-backed source mix."""
     well = WaterSource("well", capacity_m3_day=220.0, cost_eur_m3=0.09, energy_kwh_m3=0.6)
@@ -119,14 +117,13 @@ def build_intercrop_pilot(
         profile=profile,
         seed=seed,
     )
-    return PilotRunner(config, rebuilding=rebuilding), optimizer
+    return PilotRunner(config), optimizer
 
 
 def build_guaspari_pilot(
     seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
     resilience: ResilienceConfig = None, tracing: TraceConfig = None,
     profile: bool = False, scheduler_kind: str = "smart",
-    rebuilding: bool = False,
 ) -> PilotRunner:
     """Guaspari: winter wine grapes under regulated deficit irrigation."""
     config = PilotConfig(
@@ -152,7 +149,7 @@ def build_guaspari_pilot(
         profile=profile,
         seed=seed,
     )
-    return PilotRunner(config, rebuilding=rebuilding)
+    return PilotRunner(config)
 
 
 def build_matopiba_pilot(
@@ -171,7 +168,6 @@ def build_matopiba_pilot(
     resilience: ResilienceConfig = None,
     tracing: TraceConfig = None,
     profile: bool = False,
-    rebuilding: bool = False,
 ) -> PilotRunner:
     """MATOPIBA: VRI soybean under a center pivot in the dry season.
 
@@ -205,7 +201,7 @@ def build_matopiba_pilot(
         profile=profile,
         seed=seed,
     )
-    return PilotRunner(config, rebuilding=rebuilding)
+    return PilotRunner(config)
 
 
 # Uniform builder surface for the run() entrypoint: every pilot accepts

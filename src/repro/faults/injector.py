@@ -1,7 +1,7 @@
 """The fault injector: binds a :class:`FaultPlan` to live platform objects.
 
-The injector is registered as a ``PlatformRuntime`` service (see
-``repro.core.stages.FaultInjectionStage``): the stage registers the pilot's
+A pilot with a fault plan builds the injector in the assembly step
+``repro.core.stages.build_fault_injector``, which registers the pilot's
 links, brokers, replicator and device fleet as named targets, then calls
 :meth:`FaultInjector.apply` with the configured plan.  Every injection and
 recovery is executed by plain scheduled events on the sim clock — never

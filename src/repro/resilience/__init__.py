@@ -5,7 +5,7 @@
 ``backpressure`` provides bounded queues and admission windows for both
 broker hot paths; ``degraded`` turns the paper's "irrigation keeps running
 while disconnected" claim into an enforced state machine.  The layer is
-wired into a pilot by ``repro.core.stages.ResilienceStage`` only when
+wired into a pilot by ``repro.core.stages.build_resilience`` only when
 ``PilotConfig.resilience`` is set.
 """
 

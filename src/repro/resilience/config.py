@@ -1,9 +1,9 @@
 """Configuration for the resilience layer.
 
 One dataclass gathers every knob so ``PilotConfig.resilience`` stays a
-single optional field: ``None`` (the default) keeps the service graph —
-and the seed-pinned event sequences of fault-free pilots — exactly as
-they were before the layer existed.
+single optional field: ``None`` (the default) skips the layer's
+assembly step, so the seed-pinned event sequences of fault-free pilots
+stay exactly as they were before the layer existed.
 """
 
 from dataclasses import dataclass

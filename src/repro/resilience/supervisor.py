@@ -15,8 +15,8 @@ Determinism: the watchdog loop is ordinary scheduled sim work; probes are
 read-only; the jitter stream (``resilience:supervisor``) is drawn *only*
 when a restart is actually scheduled.  Supervising an entirely healthy
 run therefore adds watchdog events to the queue but never reorders or
-perturbs the platform's own events — and because the stage behind this
-module is registered only when ``PilotConfig.resilience`` is set,
+perturbs the platform's own events — and because the assembly step
+behind this module runs only when ``PilotConfig.resilience`` is set,
 fault-free pinned fixtures never see those events at all.
 
 Telemetry: ``resilience.health{service}`` gauges (1.0 healthy … 0.0

@@ -16,7 +16,9 @@ Request lifecycle (``submit``/``handle``):
    resource (the entity id for entity-scoped routes) for the token step 2
    introspected, then the tenant's own namespace prefix check (403); a
    request naming no resource (a write body without an ``id``, the
-   regional route before it is enabled) is a 400 here;
+   regional route before it is enabled) skips the decision and is
+   answered 400 once the quota admits it, counted as submitted like any
+   other 400 and never as an auth refusal;
 4. **admit** — the tenant's quota window (429) and backlog queue (503);
 5. **execute** — immediately (``handle()``, or ``submit()`` before
    ``start()``), or when the pump drains the backlog (``submit()`` once
@@ -419,10 +421,15 @@ class NgsiService:
         if route.action is None:
             return self._execute(route, request, params, None, at_s)
         tenant: Optional[Tenant] = None
+        bad_request: Optional[QueryError] = None
         try:
             tenant, token = self._authenticate(request)
-            resource = self._resource_for(route, request, params)
-            self._authorize(tenant, token, route, request, resource)
+            try:
+                resource = self._resource_for(route, request, params)
+            except QueryError as exc:
+                bad_request = exc
+            else:
+                self._authorize(tenant, token, route, request, resource)
         except (ReproError, OAuthError) as exc:
             if tenant is not None:
                 tenant.rejected_auth += 1
@@ -438,6 +445,11 @@ class NgsiService:
                 f"{tenant.quota.window_s:g}s"
             ))
             return self._record(request, tenant, at_s, response, cache_state="")
+        if bad_request is not None:
+            # The tenant's own malformed request, not an auth failure: it
+            # counts as submitted and spends quota like a handler's 400.
+            return self._record(
+                request, tenant, at_s, error_response(bad_request), cache_state="")
         if queue:
             if tenant.backlog.push((route, request, params, tenant, at_s)):
                 return None

@@ -24,7 +24,6 @@ from repro.faults.plan import FaultPlanError
 from repro.fleet.options import FleetError
 from repro.mqtt.broker import RoutingMismatchError
 from repro.mqtt.topics import TopicError
-from repro.platform.registry import PlatformError
 from repro.resilience.backpressure import BackpressureError
 from repro.security.auth.oauth import OAuthError
 from repro.service.http import Response
@@ -98,7 +97,6 @@ _TABLE: Dict[Type[BaseException], Tuple[int, str]] = {
     RoutingMismatchError: (500, "InternalServerError"),
     SnapshotError: (500, "InternalServerError"),
     SimulationError: (500, "InternalServerError"),
-    PlatformError: (500, "InternalServerError"),
     FleetError: (500, "InternalServerError"),
     ReproError: (500, "InternalServerError"),
 }

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.app import NgsiService
+from repro.service.errors import ServiceError
 from repro.service.http import Request
 from repro.service.tenancy import TenantSpec
 
@@ -295,8 +296,21 @@ def schedule_trace(service: NgsiService, trace: RequestTrace) -> int:
 
     Returns the number of requests scheduled.  Tenants already registered
     on the service (by name) are left as-is, so a trace can replay
-    against a service that pre-registered its tenants.
+    against a service that pre-registered its tenants.  A request without
+    an explicit ``token`` must name a tenant the trace declares or the
+    service has; otherwise :class:`ServiceError` names each such tenant
+    before anything is registered or scheduled.
     """
+    known = {t.name for t in service.tenants()} | {spec.name for spec in trace.tenants}
+    undeclared = sorted({
+        request.tenant for request in trace.requests
+        if request.token is None and request.tenant not in known
+    })
+    if undeclared:
+        raise ServiceError(
+            f"request trace {trace.name!r} names undeclared tenants: "
+            + ", ".join(undeclared)
+        )
     for spec in trace.tenants:
         if spec.name not in {t.name for t in service.tenants()}:
             service.register_tenant(spec)

@@ -56,7 +56,6 @@ class Simulator:
         self.events_executed = 0
         self.wall_time_s = 0.0
         self.fail_fast = True
-        self._shutdown_hooks: List[Callable[[], None]] = []
         self._process_factories: Dict[str, Callable[[], Generator]] = {}
         self.metrics.register_callback(
             "simkernel.events_executed", lambda: float(self.events_executed)
@@ -148,10 +147,6 @@ class Simulator:
     def process_factory_names(self) -> List[str]:
         return sorted(self._process_factories)
 
-    def add_shutdown_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook()`` once when the run ends (normally or via stop())."""
-        self._shutdown_hooks.append(hook)
-
     # -- run loop ---------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -160,40 +155,13 @@ class Simulator:
         Returns the final simulation time.  ``until`` is inclusive: events at
         exactly ``until`` still execute, and the clock lands on ``until`` even
         if the queue drains earlier (so back-to-back ``run`` calls compose).
-
-        Shutdown hooks fire automatically when the run *ends* — queue drain,
-        ``until`` reached, :class:`StopSimulation`/:meth:`stop`, or an
-        exception escaping an event callback.  A ``max_events`` break is a
-        pause, not an end, so hooks are withheld there.  :meth:`finish` stays
-        idempotent, so hooks registered before the first of several
-        back-to-back ``run`` calls fire exactly once.
+        A ``max_events`` break is a pause: a later ``run`` continues from
+        the next event.
         """
-        return self._execute(until, max_events, barrier=False)
-
-    def run_until(self, t: float, max_events: Optional[int] = None) -> float:
-        """Advance to the barrier ``t`` without ending the run.
-
-        Segmented execution: events at or before ``t`` execute exactly as
-        they would inside a single longer :meth:`run` call, the clock
-        lands on ``t``, and shutdown hooks are *withheld* — reaching a
-        barrier is a pause (snapshot point), not an end.  The run ends —
-        and hooks fire — when a later plain :meth:`run` finishes, or at a
-        :meth:`stop`/:class:`StopSimulation` or escaping exception inside
-        any segment.  A sequence of ``run_until`` segments followed by
-        ``run`` is bit-identical to one uninterrupted ``run``, and
-        ``wall_time_s``/``events_executed`` accumulate across segments.
-        """
-        return self._execute(t, max_events, barrier=True)
-
-    def _execute(
-        self, until: Optional[float], max_events: Optional[int], barrier: bool
-    ) -> float:
         if self._running:
             raise SimulationError("run() re-entered; the simulator is not reentrant")
         self._running = True
         executed_this_call = 0
-        invoke_hooks = True
-        completed = False
         # Hot loop: hoist attribute lookups that cannot change mid-run and
         # keep the executed counter in a local (flushed in the finally so
         # accounting survives an escaping exception).  The pop itself is
@@ -236,10 +204,7 @@ class Simulator:
                     # The event ran (fully or up to its StopSimulation), so
                     # it counts toward throughput and max_events either way.
                     executed_this_call += 1
-                    if self._stop_reason is not None:
-                        break
-                    if executed_this_call >= limit:
-                        invoke_hooks = False
+                    if self._stop_reason is not None or executed_this_call >= limit:
                         break
             else:
                 while True:
@@ -269,39 +234,30 @@ class Simulator:
                     finally:
                         profiler.record(event, perf_counter() - _event_started)
                     executed_this_call += 1
-                    if self._stop_reason is not None:
+                    if self._stop_reason is not None or executed_this_call >= limit:
                         break
-                    if executed_this_call >= limit:
-                        invoke_hooks = False
-                        break
-            completed = True
         finally:
             self._running = False
             self.events_executed += executed_this_call
             self.wall_time_s += time.perf_counter() - wall_started
-            if not completed:
-                # An exception is escaping: the run is over; fire hooks so
-                # resources (logs, exporters) still flush.
-                self.finish()
         if self._stop_reason is None and until is not None and self.clock.now < until:
             self.clock.advance_to(until)
-        if barrier and self._stop_reason is None:
-            # Reaching a barrier is a pause, not an end: withhold hooks so
-            # the run can continue (or be snapshotted) from here.
-            invoke_hooks = False
-        if invoke_hooks:
-            self.finish()
         return self.clock.now
+
+    def run_until(self, t: float, max_events: Optional[int] = None) -> float:
+        """Advance to the barrier ``t``: :meth:`run` with ``until=t``.
+
+        Segmented execution: events at or before ``t`` execute exactly as
+        they would inside a single longer :meth:`run` call and the clock
+        lands on ``t``, so a sequence of ``run_until`` segments followed
+        by ``run`` is bit-identical to one uninterrupted ``run``, and
+        ``wall_time_s``/``events_executed`` accumulate across segments.
+        """
+        return self.run(t, max_events)
 
     def stop(self, reason: str = "stopped") -> None:
         """Request the run loop to exit after the current event."""
         self._stop_reason = reason
-
-    def finish(self) -> None:
-        """Invoke shutdown hooks (idempotent: each hook runs once)."""
-        hooks, self._shutdown_hooks = self._shutdown_hooks, []
-        for hook in hooks:
-            hook()
 
     @property
     def stopped_reason(self) -> Optional[str]:

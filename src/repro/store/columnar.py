@@ -11,7 +11,7 @@ per-(entity, attribute) float64 time/value columns with
 time block, plus a per-record series-index *order array* so the exact
 global append order can be reconstructed.  Rollup, range, lastN and
 aggregate queries then stream from chunks with zone-map pruning
-(:class:`ColumnarReader`) instead of rebuilding the whole history in
+(:class:`ColumnarReader`) instead of materialising the whole history in
 memory — and because pruning only ever *skips* blocks that cannot match
 (never substitutes zone-map aggregates for the samples), every fold
 happens in append order and results are bit-identical to the in-memory

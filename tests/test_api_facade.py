@@ -140,11 +140,11 @@ class TestUnifiedErrorHierarchy:
         assert issubclass(FaultPlanError, ValueError)  # legacy base kept
 
     def test_simulation_and_platform_errors_are_repro_errors(self):
-        from repro.platform.registry import PlatformError
         from repro.simkernel import SimulationError
+        from repro.store.segment import StoreError
 
         assert issubclass(SimulationError, ReproError)
-        assert issubclass(PlatformError, ReproError)
+        assert issubclass(StoreError, ReproError)
 
     def test_query_errors_are_repro_errors(self):
         from repro.context import QueryError

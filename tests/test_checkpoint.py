@@ -56,6 +56,29 @@ def test_restore_in_fresh_process_is_byte_identical(fixture, tmp_path):
     assert report == PINNED[fixture]
 
 
+@pytest.mark.parametrize("barrier_days", [2.5, 3.0], ids=["mid-partition", "at-heal"])
+def test_restore_runs_the_optional_assembly_steps(barrier_days, tmp_path):
+    """A pilot with a fault plan and resilience restores byte-identically.
+
+    The WAN partition spans days 2-3; the heal fires at the 3-day barrier
+    itself, with the uplink breaker still open.
+    """
+    from repro.resilience import ResilienceConfig
+
+    from tests.test_fault_injection import TestFaultPlanEndToEnd
+
+    fixture = TestFaultPlanEndToEnd()
+    config = dataclasses.replace(
+        fixture.config(fixture.plan()), resilience=ResilienceConfig())
+    expected = dataclasses.asdict(PilotRunner(config).run_season())
+    assert expected["breaker_opens"] > 0 and expected["degraded_episodes"] > 0
+    runner = PilotRunner(config)
+    runner.run_until(barrier_days * DAY)
+    path = tmp_path / "faulted.ck"
+    cp.save_checkpoint(cp.snapshot(runner), str(path))
+    assert _fresh_process_restore(path) == expected
+
+
 class TestSnapshotRestore:
     def _paused_runner(self, barrier_days=2):
         runner = PILOT_BUILDERS["matopiba"](**TINY_MATOPIBA)

@@ -311,10 +311,9 @@ class TestFaultPlanEndToEnd:
         clean = PilotRunner(self.config(None))
         clean_report = clean.run_season()
         assert report.measures_processed < clean_report.measures_processed
-        # Service graph: the injector rode in as a proper runtime service,
-        # and only because a plan was configured.
-        assert runner.runtime.states()["faults.injector"] == "shutdown"
-        assert "faults.injector" not in clean.runtime.states()
+        # The injector is built only because a plan was configured.
+        assert runner.fault_injector is not None
+        assert clean.fault_injector is None
         assert dataclasses.asdict(report) != dataclasses.asdict(clean_report)
 
     def test_faulted_run_is_deterministic(self):

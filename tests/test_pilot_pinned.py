@@ -1,10 +1,11 @@
-"""Seed-pinned pilot reports + platform-runtime assembly invariants.
+"""Seed-pinned pilot reports.
 
-The expected report dicts below were captured from the pre-refactor
-monolithic ``PilotRunner.__init__`` at the same seeds.  The builder-stage
-refactor must keep every field bit-identical (floats compared exactly:
-the event order, RNG draws and arithmetic must not change at all), and
-enabling metrics must not perturb the run either.
+The expected report dicts below were captured from the monolithic
+``PilotRunner.__init__`` at the same seeds.  Every refactor of the pilot
+assembly must keep every field bit-identical (floats compared exactly:
+the event order, RNG draws and arithmetic must not change at all), so
+these reports also pin the order of the assembly steps in
+``repro.core.stages``.  Enabling metrics must not perturb the run either.
 
 Re-pin note: the cloud fixture's ``measures_processed``/
 ``broker_publishes_in`` moved by one (3055/3071 → 3054/3070) when the
@@ -117,19 +118,6 @@ PINNED = {
     },
 }
 
-EXPECTED_START_ORDER = [
-    "security.stack",
-    "platform.tiers",
-    "messaging.agent",
-    "physics.environment",
-    "devices.fleet",
-    "devices.provisioning",
-    "decision.scheduler",
-    "security.detection",
-    "security.command_tap",
-]
-
-
 def run_fixture(name, **overrides):
     config = PilotConfig(**{**FIXTURES[name], **overrides})
     runner = PilotRunner(config)
@@ -177,30 +165,6 @@ def test_disabling_metrics_does_not_change_the_run(fixture):
         run_fixture(fixture, metrics_enabled=False).report()
     )
     assert with_metrics == without == PINNED[fixture]
-
-
-def test_runtime_assembles_services_in_monolith_order():
-    runner = PilotRunner(PilotConfig(**FIXTURES["fog"]))
-    assert list(runner.runtime.states()) == EXPECTED_START_ORDER
-    order = [s.name for s in runner.runtime.registry.start_order()]
-    assert order == EXPECTED_START_ORDER
-    assert all(state == "started" for state in runner.runtime.states().values())
-
-
-def test_runtime_shuts_down_when_run_ends():
-    runner = run_fixture("fog")
-    assert all(state == "shutdown" for state in runner.runtime.states().values())
-
-
-def test_runtime_exposes_layer_objects_via_provides():
-    runner = PilotRunner(PilotConfig(**FIXTURES["fog"]))
-    assert runner.runtime.provided("security.stack") is runner.security
-    assert runner.runtime.provided("messaging.agent") is runner.agent
-    assert runner.runtime.provided("physics.environment") is runner.field
-    assert runner.runtime.provided("decision.scheduler") is runner.scheduler
-    tiers = runner.runtime.provided("platform.tiers")
-    assert tiers["fog"] is runner.fog
-    assert tiers["broker_address"] == runner.broker_address
 
 
 def test_metrics_snapshot_covers_at_least_five_subsystems():

@@ -547,6 +547,31 @@ class TestMalformedInput:
         assert response.body["error"] == "BadRequest"
         assert service.records[-1]["status"] == 400
 
+    @pytest.mark.parametrize("method,path,body", [
+        ("POST", "/v2/entities", [{"id": f"{OPS_PREFIX}s1", "type": "T"}]),
+        ("POST", "/v2/entities", {"type": "T"}),
+        ("GET", "/v2/regional/AgriParcel", None),
+    ], ids=["body-not-object", "body-without-id", "regional-not-enabled"])
+    def test_request_naming_no_resource_is_submitted_not_an_auth_refusal(
+            self, method, path, body):
+        service = make_service()
+        token = register_dash(service, quota=TenantQuota(1, 60.0, 8))
+        statuses = [
+            service.handle(Request(method, path, body=body, token=token)).status
+            for _ in range(2)
+        ]
+        # The second one is over quota: the 400 spent the tenant's request.
+        assert statuses == [400, 429]
+        tenant = service.tenant("dash")
+        assert tenant.submitted == 2
+        assert tenant.rejected_quota == 1
+        assert tenant.rejected_auth == 0
+        assert service.rejected["auth"] == 0
+        # A junk token is still an auth refusal.
+        junk = service.handle(Request(method, path, body=body, token="junk"))
+        assert junk.status == 401
+        assert service.rejected["auth"] == 1
+
 
 class TestQuotas:
     def test_over_quota_tenant_gets_429_others_unaffected(self):
@@ -832,6 +857,23 @@ class TestLoadgenAndRun:
         service.sim.run_until(trace.duration_s + 10.0)
         assert scheduled == len(service.records) > 100
         assert len(calls) == scheduled  # the service's own, none client-side
+
+    def test_trace_naming_an_undeclared_tenant_is_refused_up_front(self):
+        from repro.service import RequestTrace, TraceRequest, schedule_trace
+
+        service = make_service()
+        pending = len(service.sim.queue)
+        trace = RequestTrace("ghost", 0, [TenantSpec("ops", "s", (OPS_PREFIX,))], [
+            TraceRequest(10.0, "nobody", "GET", "/v2/entities"),
+            TraceRequest(20.0, "ops", "GET", "/v2/entities"),
+            TraceRequest(30.0, "nemo", "GET", "/v2/entities"),
+            # An explicit token needs no tenant behind it (a 401 probe).
+            TraceRequest(40.0, "probe", "GET", "/v2/entities", token="junk"),
+        ])
+        with pytest.raises(ServiceError, match="undeclared tenants: nemo, nobody$"):
+            schedule_trace(service, trace)
+        assert service.tenants() == []
+        assert len(service.sim.queue) == pending
 
     def test_revoked_tenant_token_is_regranted(self):
         service = make_service()

@@ -297,6 +297,10 @@ class TestSchedule:
             sim.schedule(float(i), lambda: None)
         sim.run(max_events=3)
         assert sim.events_executed == 3
+        # A max_events break is a pause: the next run() drains the rest.
+        sim.run()
+        assert sim.events_executed == 10
+        assert len(sim.queue) == 0
 
     def test_stopping_event_is_counted(self):
         """Regression: the event that raises StopSimulation executed, so it
@@ -331,14 +335,6 @@ class TestSchedule:
         sim.run()
         assert seen == [0, 1, 2, 3]
         assert sim.now == 3.0
-
-    def test_shutdown_hooks_run_once(self):
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(1))
-        sim.finish()
-        sim.finish()
-        assert calls == [1]
 
 
 class TestProcess:
@@ -599,85 +595,6 @@ class TestDeterminism:
 
         assert run_once(123) == run_once(123)
         assert run_once(123) != run_once(124)
-
-
-class TestAutoFinish:
-    """run() fires shutdown hooks automatically when the run *ends*."""
-
-    def test_hooks_fire_on_queue_drain(self):
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append("hook"))
-        sim.schedule(1.0, lambda: calls.append("event"))
-        sim.run()
-        assert calls == ["event", "hook"]
-
-    def test_hooks_fire_when_until_reached(self):
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(sim.now))
-        sim.schedule(100.0, lambda: None)  # beyond the horizon
-        sim.run(until=10.0)
-        assert calls == [10.0]
-
-    def test_hooks_fire_on_stop_simulation(self):
-        def stopper():
-            raise StopSimulation("enough")
-
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(1))
-        sim.schedule(1.0, stopper)
-        sim.run()
-        assert calls == [1]
-
-    def test_hooks_fire_when_callback_raises(self):
-        def boom():
-            raise RuntimeError("boom")
-
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(1))
-        sim.schedule(1.0, boom)
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert calls == [1]
-
-    def test_max_events_break_is_a_pause_not_an_end(self):
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(1))
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run(max_events=2)
-        assert calls == []  # paused: hooks withheld
-        sim.run()
-        assert calls == [1]  # resumed to completion: hooks fire
-
-    def test_hooks_fire_exactly_once_across_back_to_back_runs(self):
-        sim = Simulator()
-        calls = []
-        sim.add_shutdown_hook(lambda: calls.append(1))
-        sim.schedule(1.0, lambda: None)
-        sim.run(until=5.0)
-        sim.schedule(1.0, lambda: None)
-        sim.run(until=10.0)
-        assert calls == [1]
-
-    def test_hook_may_schedule_and_rerun(self):
-        # A shutdown hook is allowed to call run() again (e.g. a flush
-        # loop): _running is cleared before hooks are invoked.
-        sim = Simulator()
-        flushed = []
-
-        def flush():
-            sim.schedule(0.0, lambda: flushed.append(sim.now))
-            sim.run()
-
-        sim.add_shutdown_hook(flush)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert flushed == [1.0]
 
 
 class TestTraceEviction:

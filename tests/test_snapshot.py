@@ -234,15 +234,6 @@ class TestRunUntil:
         assert FIRED == expected
         assert segmented.fingerprint() == one_shot.fingerprint()
 
-    def test_barrier_withholds_shutdown_hooks(self):
-        sim = self._sim()
-        hooks = []
-        sim.add_shutdown_hook(lambda: hooks.append("down"))
-        sim.run_until(2.0)
-        assert hooks == []
-        sim.run(until=4.0)
-        assert hooks == ["down"]
-
     def test_wall_time_accumulates_across_segments(self):
         sim = self._sim()
         sim.run_until(1.0)
@@ -263,12 +254,9 @@ class TestRunUntil:
 
     def test_stop_inside_segment_still_ends_run(self):
         sim = Simulator(seed=1)
-        hooks = []
-        sim.add_shutdown_hook(lambda: hooks.append("down"))
         sim.schedule(1.0, sim.stop, ("done",))
         sim.run_until(5.0)
         assert sim.stopped_reason == "done"
-        assert hooks == ["down"]
 
 
 class TestProcessFactories:
