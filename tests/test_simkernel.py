@@ -297,10 +297,6 @@ class TestSchedule:
             sim.schedule(float(i), lambda: None)
         sim.run(max_events=3)
         assert sim.events_executed == 3
-        # A max_events break is a pause: the next run() drains the rest.
-        sim.run()
-        assert sim.events_executed == 10
-        assert len(sim.queue) == 0
 
     def test_stopping_event_is_counted(self):
         """Regression: the event that raises StopSimulation executed, so it
@@ -595,6 +591,24 @@ class TestDeterminism:
 
         assert run_once(123) == run_once(123)
         assert run_once(123) != run_once(124)
+
+
+class TestAutoFinish:
+    """A ``max_events`` break pauses a run; only a later run() ends it."""
+
+    def test_max_events_break_is_a_pause_not_an_end(self):
+        sim = Simulator()
+        seen = []
+        for i in range(5):
+            sim.schedule(float(i), lambda i=i: seen.append(i))
+        sim.run(max_events=2)
+        assert seen == [0, 1]  # paused: the rest stay queued
+        assert len(sim.queue) == 3
+        assert sim.stopped_reason is None
+        sim.run()
+        assert seen == [0, 1, 2, 3, 4]  # resumed to completion
+        assert sim.events_executed == 5
+        assert len(sim.queue) == 0
 
 
 class TestTraceEviction:
