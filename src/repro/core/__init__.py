@@ -12,7 +12,7 @@ configurations" (cloud, fog, mobile fog):
 * :mod:`~repro.core.pilot` — :class:`PilotConfig`/:class:`PilotRunner`:
   one configured farm running a full season end-to-end;
 * :mod:`~repro.core.stages` — the assembly steps that build each
-  architectural layer, in the order ``PilotRunner`` calls them;
+  architectural layer, and ``assemble``, which runs them in order;
 * :mod:`~repro.core.pilots` — factories for the four pilots (CBEC,
   Intercrop, Guaspari, MATOPIBA).
 """

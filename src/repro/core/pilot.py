@@ -7,8 +7,8 @@ growing season.  All experiments (benchmarks/) run through this class so
 that every number reported comes from the full pipeline, not from a
 shortcut around it.
 
-Assembly runs the steps in :mod:`repro.core.stages` in a fixed order,
-each building one layer onto the runner's flat attribute surface —
+Assembly is :func:`repro.core.stages.assemble`: its steps run in a fixed
+order, each building one layer onto the runner's flat attribute surface —
 ``.agent``, ``.field``, ``.scheduler`` and friends.
 """
 
@@ -17,18 +17,7 @@ from typing import Callable, Dict, Optional
 
 from repro.core.deployment import DeploymentKind
 from repro.core.security_profile import SecurityConfig, SecurityStack
-from repro.core.stages import (
-    build_devices,
-    build_fault_injector,
-    build_physics,
-    build_resilience,
-    build_scheduler,
-    build_security,
-    build_tiers,
-    provision_devices,
-    start_agent,
-    wire_security,
-)
+from repro.core.stages import assemble
 from repro.devices.actuators import CenterPivot, Valve
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -185,24 +174,7 @@ class PilotRunner:
         if self.profiler is not None:
             self.profiler.install_metrics(metrics)
         self.net = Network(self.sim, name=config.name)
-        self.fault_injector = None
-        self.supervisor = None
-        self.uplink_breaker = None
-        self.degraded_mode = None
-        # The step order fixes the sequence numbers of each layer's first
-        # events (see repro.core.stages).
-        build_security(self)
-        build_tiers(self)
-        start_agent(self)
-        build_physics(self)
-        build_devices(self)
-        provision_devices(self)
-        build_scheduler(self)
-        wire_security(self)
-        if config.fault_plan is not None:
-            build_fault_injector(self)
-        if config.resilience is not None:
-            build_resilience(self)
+        assemble(self)
         self.season_day = 0
         self._daily_process = None
         self._report_cache: Optional[PilotReport] = None

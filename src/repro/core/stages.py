@@ -1,19 +1,14 @@
-"""Pilot assembly: the steps :class:`~repro.core.pilot.PilotRunner` runs in order.
+"""Pilot assembly: :func:`assemble` builds a :class:`~repro.core.pilot.PilotRunner`.
 
 Each step builds one architectural layer against the runner and sets the
 runner's flat attributes (``.security``, ``.agent``, ``.field``, ...)
-that tests and experiments read.  ``PilotRunner.__init__`` calls
-:func:`build_security`, :func:`build_tiers`, :func:`start_agent`,
-:func:`build_physics`, :func:`build_devices`, :func:`provision_devices`,
-:func:`build_scheduler` and :func:`wire_security` in that order, then
-:func:`build_fault_injector` and :func:`build_resilience` only when the
-config sets ``fault_plan`` and ``resilience``.
+that tests and experiments read.
 
-The order is load-bearing: a step schedules its layer's first events as
-it builds the layer, and the kernel numbers events in scheduling order,
-so moving a step changes the tie-breaks of every seed-pinned run
-(``tests/test_pilot_pinned.py`` holds that pin).  Each step reads what
-the steps before it built::
+The order of the steps in :func:`assemble` is load-bearing: a step
+schedules its layer's first events as it builds the layer, and the
+kernel numbers events in scheduling order, so moving a step changes the
+tie-breaks of every seed-pinned run (``tests/test_pilot_pinned.py``
+holds that pin).  Each step reads what the steps before it built::
 
     security ──► tiers ──► agent ─┬─► devices ──► provisioning ──► scheduler
                         physics ──┘                                    │
@@ -480,3 +475,24 @@ def build_resilience(runner) -> None:
                 supervisor.on_state_change.append(degraded.on_service_state)
 
     supervisor.start()
+
+
+def assemble(runner) -> None:
+    """Run every step in order; the fault injector and the resilience layer
+    are built only when the config sets ``fault_plan`` and ``resilience``."""
+    runner.fault_injector = None
+    runner.supervisor = None
+    runner.uplink_breaker = None
+    runner.degraded_mode = None
+    build_security(runner)
+    build_tiers(runner)
+    start_agent(runner)
+    build_physics(runner)
+    build_devices(runner)
+    provision_devices(runner)
+    build_scheduler(runner)
+    wire_security(runner)
+    if runner.config.fault_plan is not None:
+        build_fault_injector(runner)
+    if runner.config.resilience is not None:
+        build_resilience(runner)

@@ -244,7 +244,7 @@ class Simulator:
             self.clock.advance_to(until)
         return self.clock.now
 
-    def run_until(self, t: float, max_events: Optional[int] = None) -> float:
+    def run_until(self, t: float) -> float:
         """Advance to the barrier ``t``: :meth:`run` with ``until=t``.
 
         Segmented execution: events at or before ``t`` execute exactly as
@@ -253,7 +253,7 @@ class Simulator:
         by ``run`` is bit-identical to one uninterrupted ``run``, and
         ``wall_time_s``/``events_executed`` accumulate across segments.
         """
-        return self.run(t, max_events)
+        return self.run(until=t)
 
     def stop(self, reason: str = "stopped") -> None:
         """Request the run loop to exit after the current event."""
