@@ -180,7 +180,7 @@ def _run_or_exit(options: RunOptions):
     """:func:`run`, with the library's option and trace errors as an error line."""
     try:
         return run(options)
-    except (CheckpointError, StoreError, ServiceError) as exc:
+    except (CheckpointError, StoreError, ServiceError, ValueError) as exc:
         raise SystemExit(str(exc))
 
 

@@ -1,4 +1,4 @@
-"""Run-level checkpoint/restore built on kernel snapshots + factory replay.
+"""Run-level checkpoint/restore: the one way to pause and resume a run.
 
 A live :class:`~repro.core.pilot.PilotRunner` cannot be pickled: its
 scheduled callbacks close over lambdas, its processes are generators and
@@ -9,10 +9,11 @@ things that *are* picklable:
 * a :class:`RunRecipe` — how to build an identical runner from scratch
   (a pilot name plus resolved builder kwargs, or a picklable
   :class:`~repro.core.pilot.PilotConfig`), and
-* a replay-mode :class:`~repro.simkernel.snapshot.KernelSnapshot` — the
+* a :class:`~repro.simkernel.snapshot.KernelSnapshot` — the kernel's
   deterministic-state *fingerprint* at the checkpoint barrier (clock,
-  event-queue signature incl. the tie-break counter, every RNG stream's
-  ``getstate`` tuple, trace counters) plus run accounting.
+  events executed, event-queue signature incl. the tie-break sequence
+  numbers, every RNG stream's ``getstate`` tuple, trace counts) plus the
+  run's wall time.
 
 Restore rebuilds the runner from the recipe, replays deterministically
 from time zero to the barrier with
@@ -53,7 +54,8 @@ __all__ = [
 ]
 
 #: Checkpoint file-format version; bump when the pickled shape changes.
-CHECKPOINT_VERSION = 1
+#: Version 2: the kernel snapshot holds only the fingerprint and wall time.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ReproError):
@@ -106,7 +108,7 @@ class RunCheckpoint:
     barrier_s: float
     #: Simulation time the run is headed for (``sim.run(until=horizon_s)``).
     horizon_s: float
-    #: Replay-mode kernel snapshot (no events, no trace records).
+    #: The kernel's fingerprint at the barrier, plus its wall time.
     kernel: KernelSnapshot
 
 
@@ -129,7 +131,7 @@ def snapshot(
         recipe=recipe,
         barrier_s=runner.sim.now,
         horizon_s=horizon_s,
-        kernel=runner.sim.snapshot(include_events=False, include_trace=False),
+        kernel=runner.sim.snapshot(),
     )
 
 

@@ -115,7 +115,7 @@ class ShardExecution:
         return batch
 
     def advance_to(self, barrier_s: float, epoch: int) -> ShardSyncBatch:
-        """Run to the barrier (hooks withheld) and drain the epoch delta."""
+        """Run to the barrier and drain the epoch delta."""
         self.runner.sim.run_until(barrier_s)
         return self.drain(epoch)
 

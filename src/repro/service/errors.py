@@ -27,7 +27,7 @@ from repro.mqtt.topics import TopicError
 from repro.resilience.backpressure import BackpressureError
 from repro.security.auth.oauth import OAuthError
 from repro.service.http import Response
-from repro.simkernel.errors import ReproError, SimulationError, SnapshotError
+from repro.simkernel.errors import ReproError, SimulationError
 from repro.store.segment import StoreError
 
 __all__ = [
@@ -95,7 +95,6 @@ _TABLE: Dict[Type[BaseException], Tuple[int, str]] = {
     # Platform-side failures: nothing the caller can fix.
     StoreError: (500, "InternalServerError"),
     RoutingMismatchError: (500, "InternalServerError"),
-    SnapshotError: (500, "InternalServerError"),
     SimulationError: (500, "InternalServerError"),
     FleetError: (500, "InternalServerError"),
     ReproError: (500, "InternalServerError"),

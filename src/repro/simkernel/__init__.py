@@ -10,15 +10,18 @@ reproducible bit-for-bit from a seed), so:
   streams, and
 * event ties are broken by a monotone sequence number, never by object id
   or insertion races.
+
+The kernel is paused and resumed one way.  ``Simulator.snapshot()``
+returns a :class:`~repro.simkernel.snapshot.KernelSnapshot`: the
+kernel's fingerprint (clock, events executed, pending-queue signature,
+RNG stream states, trace counts) plus its wall time.  A checkpoint
+restore (:mod:`repro.core.checkpoint`) rebuilds the pilot, replays it to
+the same barrier and compares fingerprints; nothing is restored in
+place.
 """
 
 from repro.simkernel.clock import SimClock
-from repro.simkernel.errors import (
-    ReproError,
-    SimulationError,
-    SnapshotError,
-    StopSimulation,
-)
+from repro.simkernel.errors import ReproError, SimulationError, StopSimulation
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.process import Process, ProcessState
 from repro.simkernel.rng import RngRegistry, SeededStream
@@ -43,7 +46,6 @@ __all__ = [
     "SimClock",
     "SimulationError",
     "Simulator",
-    "SnapshotError",
     "StopSimulation",
     "TraceLog",
     "TraceRecord",

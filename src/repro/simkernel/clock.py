@@ -21,7 +21,7 @@ class SimClock:
     is a plain attribute, not a property: the kernel and every hot path
     read it millions of times per season and the descriptor-protocol
     indirection was a measurable slice of the run loop.  Mutate it only
-    through :meth:`advance_to`/:meth:`restore`.
+    through :meth:`advance_to`.
     """
 
     __slots__ = ("now",)
@@ -50,21 +50,6 @@ class SimClock:
                 f"clock cannot move backwards: now={self.now!r}, target={t!r}"
             )
         self.now = t
-
-    def snapshot(self) -> float:
-        """The clock's serializable state: just the current time."""
-        return self.now
-
-    def restore(self, t: float) -> None:
-        """Set the clock from a snapshot (restore use only).
-
-        Unlike :meth:`advance_to` this may move the clock in either
-        direction — a restore target is typically a *fresh* clock at 0,
-        but re-restoring an older snapshot onto a used kernel is legal.
-        """
-        if t < 0:
-            raise SimulationError(f"cannot restore clock to negative time {t!r}")
-        self.now = float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self.now:.6f})"

@@ -2,8 +2,8 @@
 
 This module also hosts :class:`ReproError`, the root of the repository's
 unified exception hierarchy: topic validation errors, context-broker
-lookup errors, fault-plan validation errors and platform lifecycle errors
-all derive from it, so ``except ReproError`` catches any failure raised by
+lookup errors, fault-plan validation errors and checkpoint errors all
+derive from it, so ``except ReproError`` catches any failure raised by
 the platform's own code (as opposed to plain Python bugs).  Subsystems
 keep their historical secondary bases (``ValueError``, ``RuntimeError``)
 so existing ``except`` clauses continue to work.
@@ -36,7 +36,3 @@ class ScheduleInPastError(SimulationError):
 
 class ProcessError(SimulationError):
     """A simulation process misbehaved (yielded a bad value, double-started...)."""
-
-
-class SnapshotError(SimulationError):
-    """A kernel snapshot could not be taken, restored or verified."""

@@ -20,9 +20,9 @@ when they reach the heap head.
 """
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.simkernel.errors import SimulationError, SnapshotError
+from repro.simkernel.errors import SimulationError
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -105,9 +105,8 @@ class EventQueue:
         # Entries are (time, priority, seq, event) tuples; seq is unique so
         # comparisons resolve before reaching the event element.
         self._heap: list = []
-        # Plain int, not itertools.count: the tie-break counter is part of
-        # the kernel's snapshot state and must be readable/restorable so
-        # same-timestamp ordering survives a checkpoint boundary.
+        # Plain int, not itertools.count: Simulator.schedule inlines push
+        # and advances the tie-break counter directly.
         self._seq_next = 0
         self._live = 0
 
@@ -149,28 +148,6 @@ class EventQueue:
             return event
         raise SimulationError("pop from empty event queue")
 
-    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
-        """Remove and return the next live event at or before ``until``.
-
-        Returns ``None`` when the queue is empty or the next live event
-        lies beyond ``until``.  This is the run loop's fast path: one heap
-        traversal replaces the ``peek_time()`` + ``pop()`` pair.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                _heappop(heap)
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            _heappop(heap)
-            self._live -= 1
-            event._queue = None
-            return event
-        return None
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` when empty."""
         heap = self._heap
@@ -189,51 +166,6 @@ class EventQueue:
         """
         self._live -= 1
 
-    # -- snapshot / restore ------------------------------------------------------
-
-    def _live_sorted(self) -> List[Event]:
-        """Live events in execution order (cancelled ones excluded)."""
-        return [entry[3] for entry in sorted(self._heap) if not entry[3].cancelled]
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable queue state: the tie-break counter plus every live
-        event as a ``(time, priority, seq, callback, args, label)`` tuple.
-
-        The tuples pickle only when the callbacks do (module-level
-        functions, bound methods of picklable objects).  Run-level
-        checkpoints therefore skip event capture and rebuild the queue by
-        factory replay — see ``repro.core.checkpoint``.
-        """
-        return {
-            "seq_next": self._seq_next,
-            "events": [
-                (e.time, e.priority, e.seq, e.callback, e.args, e.label)
-                for e in self._live_sorted()
-            ],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rebuild the queue from :meth:`snapshot` output."""
-        try:
-            seq_next = state["seq_next"]
-            events = state["events"]
-        except (KeyError, TypeError) as exc:
-            raise SnapshotError(f"malformed event-queue snapshot: {exc!r}")
-        # Orphan any events still pointing at this queue so a stale
-        # handle cancelled after the restore cannot corrupt the rebuilt
-        # live count.
-        for entry in self._heap:
-            entry[3]._queue = None
-        heap = []
-        for fields in events:
-            event = Event(*fields)
-            event._queue = self
-            heap.append((event.time, event.priority, event.seq, event))
-        heapq.heapify(heap)
-        self._heap = heap
-        self._live = len(heap)
-        self._seq_next = seq_next
-
     def signature(self) -> Tuple[Tuple[float, int, int, str], ...]:
         """Order-defining fingerprint of the pending schedule.
 
@@ -243,5 +175,7 @@ class EventQueue:
         Used by checkpoint restore to verify a replay reconverged.
         """
         return tuple(
-            (e.time, e.priority, e.seq, e.label) for e in self._live_sorted()
+            (time, priority, seq, event.label)
+            for time, priority, seq, event in sorted(self._heap)
+            if not event.cancelled
         )

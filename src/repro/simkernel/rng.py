@@ -10,7 +10,7 @@ comparable across code revisions.
 
 import hashlib
 import random
-from typing import Any, Dict, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -69,10 +69,6 @@ class SeededStream:
         """The underlying :meth:`random.Random.getstate` tuple (picklable)."""
         return self._rng.getstate()
 
-    def setstate(self, state: tuple) -> None:
-        """Restore the draw position captured by :meth:`getstate`."""
-        self._rng.setstate(state)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededStream(name={self.name!r}, seed={self.seed})"
 
@@ -104,33 +100,14 @@ class RngRegistry:
     def stream_names(self) -> list:
         return sorted(self._streams)
 
-    # -- snapshot / restore ------------------------------------------------------
+    def stream_states(self) -> Dict[str, tuple]:
+        """Every created stream's :meth:`random.Random.getstate` tuple, by name.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable registry state: master seed plus every created
-        stream's :meth:`random.Random.getstate` tuple, keyed by name."""
-        return {
-            "master_seed": self.master_seed,
-            "streams": {
-                name: stream.getstate()
-                for name, stream in sorted(self._streams.items())
-            },
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore stream states captured by :meth:`snapshot`.
-
-        Streams are re-derived by name from the master seed (the same
-        lazy path as normal use), then fast-forwarded with ``setstate``;
-        streams first touched *after* the snapshot was taken start from
-        their derived seed exactly as in the original run.
+        Streams not yet created are absent: derivation is a pure function
+        of master seed and name, so one created later starts from the
+        same state in every run.
         """
-        from repro.simkernel.errors import SnapshotError
-
-        if state["master_seed"] != self.master_seed:
-            raise SnapshotError(
-                f"snapshot master seed {state['master_seed']} does not match "
-                f"registry master seed {self.master_seed}"
-            )
-        for name, rng_state in state["streams"].items():
-            self.stream(name).setstate(rng_state)
+        return {
+            name: stream.getstate()
+            for name, stream in sorted(self._streams.items())
+        }

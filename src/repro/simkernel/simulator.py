@@ -5,16 +5,11 @@ import time
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.simkernel.clock import SimClock
-from repro.simkernel.errors import (
-    ScheduleInPastError,
-    SimulationError,
-    SnapshotError,
-    StopSimulation,
-)
+from repro.simkernel.errors import ScheduleInPastError, SimulationError, StopSimulation
 from repro.simkernel.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.simkernel.process import Process, Signal
 from repro.simkernel.rng import RngRegistry
-from repro.simkernel.snapshot import SNAPSHOT_VERSION, KernelSnapshot, check_version
+from repro.simkernel.snapshot import SNAPSHOT_VERSION, KernelSnapshot
 from repro.simkernel.trace import TraceLog
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.telemetry.tracing import NULL_TRACER, Tracer
@@ -164,12 +159,12 @@ class Simulator:
         executed_this_call = 0
         # Hot loop: hoist attribute lookups that cannot change mid-run and
         # keep the executed counter in a local (flushed in the finally so
-        # accounting survives an escaping exception).  The pop itself is
-        # inlined from EventQueue.pop_due — one method call per event was
-        # a measurable slice of season runs — with the heap list re-read
-        # each iteration so a callback that restores the kernel mid-run
-        # cannot leave the loop iterating a stale heap.
+        # accounting survives an escaping exception).  The pop is inlined
+        # over the heap list, which nothing rebinds, because one method
+        # call per event was a measurable slice of season runs.  As in
+        # EventQueue.pop, cancelled entries drop off the head lazily.
         queue = self.queue
+        heap = queue._heap
         clock = self.clock
         profiler = self.profiler
         perf_counter = time.perf_counter
@@ -178,10 +173,7 @@ class Simulator:
         wall_started = perf_counter()
         try:
             if profiler is None:
-                while True:
-                    heap = queue._heap
-                    if not heap:
-                        break
+                while heap:
                     entry = heap[0]
                     event = entry[3]
                     if event.cancelled:
@@ -207,10 +199,7 @@ class Simulator:
                     if self._stop_reason is not None or executed_this_call >= limit:
                         break
             else:
-                while True:
-                    heap = queue._heap
-                    if not heap:
-                        break
+                while heap:
                     entry = heap[0]
                     event = entry[3]
                     if event.cancelled:
@@ -297,67 +286,27 @@ class Simulator:
             "events_per_sec": self.events_per_sec(),
         }
 
-    # -- snapshot / restore ------------------------------------------------------
+    # -- snapshot -------------------------------------------------------------
 
-    def snapshot(
-        self, include_events: bool = True, include_trace: bool = True
-    ) -> KernelSnapshot:
-        """Capture the kernel's state as a versioned :class:`KernelSnapshot`.
+    def snapshot(self) -> KernelSnapshot:
+        """The kernel's :meth:`fingerprint` plus the run's wall time.
 
-        With ``include_events`` the snapshot carries the pending events and
-        pickles only when their callbacks do; without it, the snapshot
-        carries the queue :meth:`~repro.simkernel.events.EventQueue.signature`
-        instead, for factory-replay restore (``repro.core.checkpoint``).
+        What a checkpoint stores: restore replays the pilot to the same
+        instant and compares fingerprints (``repro.core.checkpoint``).
         """
-        return KernelSnapshot(
-            version=SNAPSHOT_VERSION,
-            time=self.clock.now,
-            events_executed=self.events_executed,
-            wall_time_s=self.wall_time_s,
-            stop_reason=self._stop_reason,
-            queue=self.queue.snapshot() if include_events else None,
-            queue_signature=self.queue.signature(),
-            rng=self.rng.snapshot(),
-            trace=self.trace.snapshot() if include_trace else None,
-            trace_counts=dict(self.trace.counts),
-        )
-
-    def restore(self, snap: KernelSnapshot) -> None:
-        """Restore clock, queue, RNG streams, trace and accounting.
-
-        Requires a full snapshot (``include_events=True``); replay-restore
-        snapshots carry no events and go through ``repro.core.checkpoint``
-        instead.  Callbacks, processes, metrics wiring and trace listeners
-        are code, not state — they stay exactly as this kernel has them.
-        """
-        check_version(snap.version)
-        if self._running:
-            raise SnapshotError("cannot restore while the simulator is running")
-        if snap.queue is None:
-            raise SnapshotError(
-                "snapshot carries no events (taken with include_events=False); "
-                "use repro.core.checkpoint factory replay to restore it"
-            )
-        self.clock.restore(snap.time)
-        self.queue.restore(snap.queue)
-        self.rng.restore(snap.rng)
-        if snap.trace is not None:
-            self.trace.restore(snap.trace)
-        self.events_executed = snap.events_executed
-        self.wall_time_s = snap.wall_time_s
-        self._stop_reason = snap.stop_reason
+        return KernelSnapshot(wall_time_s=self.wall_time_s, **self.fingerprint())
 
     def fingerprint(self) -> Dict[str, Any]:
         """The live kernel's deterministic-state digest.
 
-        Comparable against :meth:`KernelSnapshot.fingerprint` to verify a
-        factory replay reconverged on the captured state.
+        The one builder of what a :class:`KernelSnapshot` holds and what
+        checkpoint restore compares after its replay.
         """
         return {
             "version": SNAPSHOT_VERSION,
             "time": self.clock.now,
             "events_executed": self.events_executed,
             "queue_signature": self.queue.signature(),
-            "rng": self.rng.snapshot()["streams"],
+            "rng": self.rng.stream_states(),
             "trace_counts": dict(self.trace.counts),
         }

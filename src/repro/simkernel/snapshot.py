@@ -1,41 +1,30 @@
-"""Versioned, picklable snapshots of the simulation kernel.
+"""Versioned, picklable kernel snapshots: the replay fingerprint plus wall time.
 
-A :class:`KernelSnapshot` captures everything the kernel itself owns —
-virtual clock, the event queue *including its tie-break sequence
-counter*, every named RNG stream's ``random.Random.getstate`` tuple, the
-trace log and the run accounting (``events_executed``, ``wall_time_s``).
-What it deliberately does **not** capture is behaviour: callbacks,
-generator-based processes, metrics lambdas and trace listeners are code,
-not state, and generators cannot be pickled at all.  Two restore modes
-follow from that split:
+A :class:`KernelSnapshot` is what checkpoint restore checks a replay
+against (:mod:`repro.core.checkpoint`): the virtual clock, the run's
+event count, the pending schedule's signature (``(time, priority, seq,
+label)`` per live event, so the tie-break counter is covered), every
+named RNG stream's ``random.Random.getstate`` tuple and the trace log's
+per-category counts.  It carries no callbacks, processes or trace
+records: those are code, or can be re-derived, and a live pilot's
+callbacks and generators cannot be pickled anyway.  A restore rebuilds
+the kernel by replaying the pilot from time zero and compares
+fingerprints; the snapshot's ``wall_time_s`` is then laid over the
+replayed run so throughput accounting spans the whole logical run.
 
-* **Full kernel restore** (``include_events=True``): the snapshot carries
-  the pending events themselves.  This pickles only when every scheduled
-  callback does (module-level functions, bound methods of picklable
-  objects) — the mode kernel-level tests and in-process forking use.
-* **Replay restore** (``include_events=False``): the snapshot carries a
-  :meth:`fingerprint` of the schedule instead of the schedule.  A fresh
-  kernel is rebuilt by re-running the registered service/process
-  factories from time zero (deterministic, so it reconverges exactly),
-  and the fingerprint proves it did — see :mod:`repro.core.checkpoint`.
-
-``version`` gates compatibility: a snapshot written by a different
-snapshot-format version refuses to restore rather than silently
-misbehaving.  Bump :data:`SNAPSHOT_VERSION` whenever the captured shape
-changes.
+``version`` gates compatibility: :func:`compare_fingerprints` reports a
+snapshot written by a different format version as a divergence.  Bump
+:data:`SNAPSHOT_VERSION` whenever the fingerprint's keys or values
+change.
 """
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
-from repro.simkernel.errors import SnapshotError
-
-#: Format version stamped into every snapshot.  Restore refuses other
-#: versions (see :func:`check_version`).
+#: Format version stamped into every fingerprint.
 SNAPSHOT_VERSION = 1
 
-#: The fingerprint keys every snapshot captures, whether or not it also
-#: captured the full event/trace payloads.
+#: The keys of a kernel fingerprint, in comparison order.
 _FINGERPRINT_KEYS = (
     "version",
     "time",
@@ -48,45 +37,22 @@ _FINGERPRINT_KEYS = (
 
 @dataclass
 class KernelSnapshot:
-    """One kernel's serializable state at a single simulation instant."""
+    """One kernel's fingerprint at a single simulation instant, plus wall time."""
 
     version: int
     time: float
     events_executed: int
     wall_time_s: float
-    stop_reason: Optional[str]
-    #: ``EventQueue.snapshot()`` output, or None for replay-restore
-    #: snapshots (the queue is then rebuilt by factory replay).
-    queue: Optional[Dict[str, Any]]
-    #: ``EventQueue.signature()`` — always captured, the replay check.
+    #: ``EventQueue.signature()``.
     queue_signature: Tuple[Tuple[float, int, int, str], ...]
-    #: ``RngRegistry.snapshot()`` output.
+    #: Stream name → ``random.Random.getstate()`` for every created stream.
     rng: Dict[str, Any]
-    #: ``TraceLog.snapshot()`` output, or None when records were skipped.
-    trace: Optional[Dict[str, Any]]
-    #: Per-category emission totals — cheap, always captured, and part of
-    #: the fingerprint even when the records themselves are not.
-    trace_counts: Dict[str, int] = field(default_factory=dict)
+    #: Per-category trace emission totals.
+    trace_counts: Dict[str, int]
 
     def fingerprint(self) -> Dict[str, Any]:
         """The deterministic-state digest used to verify a replay."""
-        return {
-            "version": self.version,
-            "time": self.time,
-            "events_executed": self.events_executed,
-            "queue_signature": self.queue_signature,
-            "rng": self.rng["streams"],
-            "trace_counts": dict(self.trace_counts),
-        }
-
-
-def check_version(version: int) -> None:
-    """Raise :class:`SnapshotError` unless ``version`` is the current one."""
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot format version {version} is not supported "
-            f"(this kernel writes version {SNAPSHOT_VERSION})"
-        )
+        return {key: getattr(self, key) for key in _FINGERPRINT_KEYS}
 
 
 def compare_fingerprints(

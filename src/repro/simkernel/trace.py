@@ -75,28 +75,3 @@ class TraceLog:
     def count(self, category: str) -> int:
         """Total records ever emitted in ``category`` (survives eviction)."""
         return self.counts[category]
-
-    # -- snapshot / restore ------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable log state: stored records plus all counters."""
-        return {
-            "max_records": self.max_records,
-            "records": [
-                (r.time, r.category, r.message, r.data) for r in self._records
-            ],
-            "dropped": self.dropped,
-            "dropped_by_category": dict(self.dropped_by_category),
-            "counts": dict(self.counts),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rebuild records and counters from :meth:`snapshot` output."""
-        self.max_records = state["max_records"]
-        self._records = deque(
-            (TraceRecord(*fields) for fields in state["records"]),
-            maxlen=self.max_records,
-        )
-        self.dropped = state["dropped"]
-        self.dropped_by_category = Counter(state["dropped_by_category"])
-        self.counts = Counter(state["counts"])

@@ -14,12 +14,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import checkpoint as cp
 from repro.core.pilot import PilotConfig, PilotRunner
 from repro.core.pilots import PILOT_BUILDERS
 from repro.core.run import RunOptions, run
-from repro.simkernel.clock import DAY
+from repro.simkernel.clock import DAY, HOUR
 
 from tests.test_pilot_pinned import FIXTURES, PINNED
 
@@ -77,6 +79,26 @@ def test_restore_runs_the_optional_assembly_steps(barrier_days, tmp_path):
     path = tmp_path / "faulted.ck"
     cp.save_checkpoint(cp.snapshot(runner), str(path))
     assert _fresh_process_restore(path) == expected
+
+
+@pytest.fixture(scope="module")
+def tiny_matopiba_report():
+    """The uninterrupted TINY_MATOPIBA season, as the restore oracle."""
+    return dataclasses.asdict(PILOT_BUILDERS["matopiba"](**TINY_MATOPIBA).run_season())
+
+
+@settings(max_examples=20, deadline=None)
+@example(barrier_s=HOUR)
+@example(barrier_s=6 * HOUR)  # the first irrigation decision cycle
+@given(barrier_s=st.floats(min_value=0.0, max_value=4 * DAY,
+                           exclude_min=True, exclude_max=True))
+def test_replay_restore_at_any_barrier(tiny_matopiba_report, barrier_s):
+    """Snapshot at any barrier, restore, resume: the uninterrupted report."""
+    runner = PILOT_BUILDERS["matopiba"](**TINY_MATOPIBA)
+    runner.run_until(barrier_s)
+    recipe = cp.RunRecipe(pilot="matopiba", builder_kwargs=TINY_MATOPIBA)
+    report = cp.resume(cp.restore(cp.snapshot(runner, recipe=recipe)))
+    assert dataclasses.asdict(report) == tiny_matopiba_report
 
 
 class TestSnapshotRestore:

@@ -67,6 +67,29 @@ class TestCommands:
             main([command, "matopiba", "--days", "0.1",
                   "--store", str(tmp_path / "wal"), flag, "0"], out=io.StringIO())
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--restore"])
+    def test_store_with_checkpoint_or_restore_exits_with_one_line(self, tmp_path, flag):
+        # run() refuses the combination with a ValueError before building
+        # anything; the CLI prints it as an error line, not a traceback.
+        store = tmp_path / "wal"
+        with pytest.raises(SystemExit, match="store_dir"):
+            main(["run", "matopiba", "--days", "1", "--store", str(store),
+                  flag, str(tmp_path / "c.ck")], out=io.StringIO())
+        assert not store.exists()
+
+    def test_serve_trace_with_an_empty_tenant_namespace_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps({
+            "name": "t", "seed": 0,
+            "tenants": [{"name": "ops", "secret": "s",
+                         "read_prefixes": [], "write_prefixes": []}],
+            "requests": [{"at_s": 10.0, "tenant": "ops", "method": "GET",
+                          "path": "/v2/entities"}],
+        }))
+        with pytest.raises(SystemExit, match="tenant 'ops' has an empty namespace"):
+            main(["serve", "matopiba", "--days", "0.1", "--requests", str(path)],
+                 out=io.StringIO())
+
     def test_run_prints_metrics_summary(self):
         out = io.StringIO()
         assert main(["run", "guaspari", "--days", "2", "--seed", "2"], out=out) == 0
