@@ -8,7 +8,9 @@ things that *are* picklable:
 
 * a :class:`RunRecipe` — how to build an identical runner from scratch
   (a pilot name plus resolved builder kwargs, or a picklable
-  :class:`~repro.core.pilot.PilotConfig`), and
+  :class:`~repro.core.pilot.PilotConfig`), which selects every optional
+  part the run had (faults, resilience, tracing, the service and its
+  request trace), and
 * a :class:`~repro.simkernel.snapshot.KernelSnapshot` — the kernel's
   deterministic-state *fingerprint* at the checkpoint barrier (clock,
   events executed, event-queue signature incl. the tie-break sequence
@@ -25,6 +27,10 @@ check fails loudly (:class:`CheckpointStateMismatch`) instead of silently
 producing a different run.  The guarantee the tests pin down:
 ``restore(snapshot(t))`` then run-to-end is byte-identical to the
 uninterrupted run.
+
+A run with a durable store (``PilotConfig.store``) cannot be
+checkpointed: the replay would append every record up to the barrier to
+the store a second time, so :func:`snapshot` refuses it.
 """
 
 import dataclasses
@@ -77,7 +83,8 @@ class RunRecipe:
     Exactly one mode applies: ``pilot`` named (rebuild through
     ``PILOT_BUILDERS[pilot](**builder_kwargs)``) or ``config`` set
     (rebuild as ``PilotRunner(config)`` — only for configs that pickle,
-    i.e. without ``supply_gate`` closures).
+    i.e. without ``supply_gate`` closures).  :func:`~repro.core.run.run`
+    builds every runner through one, checkpointed or not.
     """
 
     pilot: Optional[str] = None
@@ -122,6 +129,11 @@ def snapshot(
     Call between :meth:`~repro.core.pilot.PilotRunner.run_until` segments;
     the kernel must not be mid-event.
     """
+    if runner.config.store is not None:
+        raise CheckpointError(
+            "a run with a durable store cannot be checkpointed: restoring it "
+            "would append the store's records a second time"
+        )
     if recipe is None:
         recipe = RunRecipe(config=runner.config)
     if horizon_s is None:

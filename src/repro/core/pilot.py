@@ -32,8 +32,11 @@ from repro.physics.crop import Crop
 from repro.physics.soil import LOAM, SoilProperties
 from repro.physics.weather import ClimateProfile
 from repro.resilience import CircuitBreaker, DegradedModePolicy, ResilienceConfig, Supervisor
+from repro.service.app import NgsiService
+from repro.service.loadgen import RequestTrace
 from repro.simkernel.clock import DAY, HOUR
 from repro.simkernel.simulator import Simulator
+from repro.store.durable import DurabilityService, StoreConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import KernelProfiler
 from repro.telemetry.tracing import NULL_TRACER, TraceConfig, Tracer
@@ -91,6 +94,11 @@ class PilotConfig:
     # repro/telemetry/profile.py).  Reads perf_counter only; never
     # perturbs determinism, but off by default to keep the hot loop bare.
     profile: bool = False
+    # The durable store behind the history (see repro/store/durable.py)
+    # and the north-facing service replaying a request trace (see
+    # repro/service/).  Same contract as fault_plan: None skips the step.
+    store: Optional[StoreConfig] = None
+    serve_trace: Optional[RequestTrace] = None
     seed: int = 0
 
     @property
@@ -144,7 +152,9 @@ class PilotRunner:
     ``broker_address``, ``context``, ``history``, ``agent``, ``field``,
     ``weather``, ``ndvi_trackers``, ``pump``, ``flow_meter``,
     ``weather_station``, ``probes``, ``valves``, ``pivot``, ``drone``,
-    ``scheduler``.
+    ``scheduler``; and, None unless the config selects their step,
+    ``fault_injector``, ``supervisor``, ``uplink_breaker``,
+    ``degraded_mode``, ``durability`` and ``service``.
     """
 
     security: SecurityStack
@@ -159,6 +169,8 @@ class PilotRunner:
     supervisor: Optional[Supervisor]
     uplink_breaker: Optional[CircuitBreaker]
     degraded_mode: Optional[DegradedModePolicy]
+    durability: Optional[DurabilityService]
+    service: Optional[NgsiService]
 
     def __init__(self, config: PilotConfig) -> None:
         self.config = config

@@ -17,28 +17,45 @@ each pilot's stated primary goal:
 4. **MATOPIBA** (Barreiras/Brazil) — *VRI on center pivots* for soybean,
    saving water and energy: big spatially variable field, pivot
    irrigation, mobile-fog deployment with a survey drone.
+
+Every builder takes its pilot's own parameters as keyword-only
+arguments, plus the run-level :data:`RUN_FIELDS` (seed, security, fault
+plan, resilience, tracing, profiling, store, service trace), which go
+into the :class:`~repro.core.pilot.PilotConfig` as given.  ``None`` keeps
+the config default, and an unknown keyword raises ``TypeError``.
 """
 
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.deployment import DeploymentKind
 from repro.core.pilot import PilotConfig, PilotRunner
-from repro.core.security_profile import SecurityConfig
-from repro.faults.plan import FaultPlan
 from repro.irrigation.distribution import Canal, DistributionNetwork, FarmOfftake, Reservoir
 from repro.irrigation.policy import DeficitPolicy, SoilMoisturePolicy
 from repro.irrigation.sources import DesalinationPlant, SourceMixOptimizer, WaterSource
 from repro.physics.crop import GUASPARI_GRAPE, LETTUCE, SOYBEAN, TOMATO_PROCESSING
 from repro.physics.soil import CLAY, LOAM, SANDY_LOAM, SILTY_CLAY
 from repro.physics.weather import BARREIRAS_MATOPIBA, CARTAGENA, EMILIA_ROMAGNA, PINHAL
-from repro.resilience import ResilienceConfig
-from repro.telemetry.tracing import TraceConfig
+
+#: The run-level ``PilotConfig`` fields every builder takes as keywords,
+#: next to its own pilot-specific parameters.
+RUN_FIELDS = ("seed", "security", "fault_plan", "resilience", "tracing",
+              "profile", "store", "serve_trace")
+
+
+def _run_fields(run: Dict[str, Any]) -> Dict[str, Any]:
+    """``run`` checked against :data:`RUN_FIELDS`; ``None`` keeps the
+    ``PilotConfig`` default."""
+    unknown = sorted(set(run) - set(RUN_FIELDS))
+    if unknown:
+        raise TypeError(
+            f"unexpected keyword argument(s) {', '.join(unknown)}: a pilot "
+            f"builder takes its own parameters and {', '.join(RUN_FIELDS)}"
+        )
+    return {name: value for name, value in run.items() if value is not None}
 
 
 def build_cbec_pilot(
-    seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
-    resilience: ResilienceConfig = None, tracing: TraceConfig = None,
-    profile: bool = False, scheduler_kind: str = "smart",
+    *, scheduler_kind: str = "smart", **run: Any,
 ) -> Tuple[PilotRunner, DistributionNetwork]:
     """CBEC: tomato on the Emilia plain, canal-fed, cloud deployment."""
     reservoir = Reservoir("po-offtake", capacity_m3=60_000.0)
@@ -68,20 +85,13 @@ def build_cbec_pilot(
         irrigation_kind="valves",
         scheduler_kind=scheduler_kind,
         supply_gate=supply_gate,
-        security=security or SecurityConfig(),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        tracing=tracing,
-        profile=profile,
-        seed=seed,
+        **_run_fields(run),
     )
     return PilotRunner(config), network
 
 
 def build_intercrop_pilot(
-    seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
-    resilience: ResilienceConfig = None, tracing: TraceConfig = None,
-    profile: bool = False, scheduler_kind: str = "smart",
+    *, scheduler_kind: str = "smart", **run: Any,
 ) -> Tuple[PilotRunner, SourceMixOptimizer]:
     """Intercrop: lettuce near Cartagena, desalination-backed source mix."""
     well = WaterSource("well", capacity_m3_day=220.0, cost_eur_m3=0.09, energy_kwh_m3=0.6)
@@ -110,21 +120,12 @@ def build_intercrop_pilot(
         valve_rate_mm_h=12.0,  # drip lines
         pump_head_m=25.0,
         supply_gate=supply_gate,
-        security=security or SecurityConfig(),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        tracing=tracing,
-        profile=profile,
-        seed=seed,
+        **_run_fields(run),
     )
     return PilotRunner(config), optimizer
 
 
-def build_guaspari_pilot(
-    seed: int = 0, security: SecurityConfig = None, fault_plan: FaultPlan = None,
-    resilience: ResilienceConfig = None, tracing: TraceConfig = None,
-    profile: bool = False, scheduler_kind: str = "smart",
-) -> PilotRunner:
+def build_guaspari_pilot(*, scheduler_kind: str = "smart", **run: Any) -> PilotRunner:
     """Guaspari: winter wine grapes under regulated deficit irrigation."""
     config = PilotConfig(
         name="guaspari",
@@ -142,19 +143,13 @@ def build_guaspari_pilot(
                              trigger_fraction=0.85),
         valve_rate_mm_h=6.0,
         pump_head_m=60.0,  # hillside vineyard
-        security=security or SecurityConfig(),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        tracing=tracing,
-        profile=profile,
-        seed=seed,
+        **_run_fields(run),
     )
     return PilotRunner(config)
 
 
 def build_matopiba_pilot(
-    seed: int = 0,
-    security: SecurityConfig = None,
+    *,
     spatial_cv: float = 0.25,
     scheduler_kind: str = "smart",
     probe_coverage: float = 1.0,
@@ -164,10 +159,7 @@ def build_matopiba_pilot(
     cols: int = 6,
     probe_interval_s: float = 1800.0,
     season_days: int = None,
-    fault_plan: FaultPlan = None,
-    resilience: ResilienceConfig = None,
-    tracing: TraceConfig = None,
-    profile: bool = False,
+    **run: Any,
 ) -> PilotRunner:
     """MATOPIBA: VRI soybean under a center pivot in the dry season.
 
@@ -194,23 +186,17 @@ def build_matopiba_pilot(
         pivot_rate_mm_h=12.0,
         pump_head_m=50.0,
         uniform_pivot=uniform_pivot,
-        security=security or SecurityConfig(),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        tracing=tracing,
-        profile=profile,
-        seed=seed,
+        **_run_fields(run),
     )
     return PilotRunner(config)
 
 
-# Uniform builder surface for the run() entrypoint: every pilot accepts
-# the same keyword set (builders that also return water infrastructure
-# strip it here — callers needing the infrastructure use the build_*
-# functions directly).
+# Uniform builder surface for the run() entrypoint (builders that also
+# return water infrastructure strip it here — callers needing the
+# infrastructure use the build_* functions directly).
 PILOT_BUILDERS = {
     "cbec": lambda **kw: build_cbec_pilot(**kw)[0],
     "intercrop": lambda **kw: build_intercrop_pilot(**kw)[0],
-    "guaspari": lambda **kw: build_guaspari_pilot(**kw),
-    "matopiba": lambda **kw: build_matopiba_pilot(**kw),
+    "guaspari": build_guaspari_pilot,
+    "matopiba": build_matopiba_pilot,
 }

@@ -1,22 +1,20 @@
 """The single run entrypoint: one typed options object, one function.
 
-Four PRs of organic growth left three overlapping ways to start a run —
-``run_pilot(config)``, the ``build_*_pilot`` factories and the CLI's own
-argument plumbing, plus ``run_chaos`` with its separate signature.  This
-module consolidates them: :class:`RunOptions` carries every knob (pilot,
-seed, days, security, faults, resilience, tracing, profiling, store,
-service) and :func:`run` interprets it, so the CLI, notebooks and tests
-all drive the same code path.
+:class:`RunOptions` carries every knob and :func:`run` interprets it, so
+the CLI, notebooks and tests all drive the same code path.  Each
+run-level option is a :class:`~repro.core.pilot.PilotConfig` field, and
+the runner is built from one :class:`~repro.core.checkpoint.RunRecipe`,
+so a checkpoint restore rebuilds whatever the run selected.  One
+combination is refused: ``store_dir`` with ``checkpoint`` or
+``restore``, because the replay would append the store's records a
+second time.
 
 Bit-identity contract: ``run(RunOptions(config=cfg))`` builds exactly
 ``PilotRunner(cfg)`` — no option is folded into an explicit config
 unless the caller set it, so reports stay bit-identical to the
-historical ``run_pilot`` outputs (the shim completed its deprecation
-cycle and is gone).  ``serve_trace`` opts the run into the north-facing
-service layer: the trace's tenants are registered and its requests
-replayed against the pilot on the simulation clock.  With the option
-unset nothing service-related is constructed, so pinned fixtures are
-untouched.
+historical ``run_pilot`` outputs.  With ``serve_trace`` and
+``store_dir`` unset nothing service- or store-related is constructed, so
+pinned fixtures are untouched.
 
 :func:`run` writes no run artifacts: the Chrome trace, response log and
 metrics snapshot are read off the returned handles (``result.runner``,
@@ -27,11 +25,14 @@ import dataclasses
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, Optional
 
-from repro.core.pilot import PilotConfig, PilotReport, PilotRunner
+from repro.core import checkpoint
+from repro.core.pilot import PilotConfig, PilotReport
+from repro.core.pilots import PILOT_BUILDERS
 from repro.core.security_profile import SecurityConfig
 from repro.simkernel.clock import DAY
 from repro.faults.plan import FaultPlan
 from repro.resilience import ResilienceConfig
+from repro.store.durable import StoreConfig
 from repro.telemetry.tracing import TraceConfig
 
 __all__ = ["RunOptions", "RunResult", "run"]
@@ -41,18 +42,10 @@ __all__ = ["RunOptions", "RunResult", "run"]
 class RunOptions:
     """Everything a run needs, in one typed object.
 
-    Exactly one of two modes applies:
-
-    * ``config`` set — run that :class:`PilotConfig` as-is (the
-      ``run_pilot`` replacement).  Tracing/profiling options are applied
-      as config overrides *only when explicitly enabled*, so a bare
-      ``RunOptions(config=cfg)`` reproduces ``run_pilot(cfg)``
-      bit-identically.
-    * ``pilot`` named — build the pilot through its factory with the
-      seed/security/faults/resilience/tracing knobs below (the CLI path).
-
-    ``chaos=True`` switches to the seeded chaos harness
-    (:func:`repro.faults.chaos.run_chaos`) instead of a plain season.
+    Either ``config`` is the :class:`PilotConfig` to run, or ``pilot``
+    names the factory that builds one from the knobs below.  The tracing,
+    profiling, store and service options become config fields only when
+    set, so ``RunOptions(config=cfg)`` builds exactly ``PilotRunner(cfg)``.
     """
 
     pilot: str = "matopiba"
@@ -74,22 +67,22 @@ class RunOptions:
     # Builder-path extras: any pilot-specific factory kwargs (e.g.
     # scheduler_kind, or matopiba's rows/cols/probe_interval_s).
     pilot_kwargs: Dict[str, Any] = dataclass_field(default_factory=dict)
-    # Chaos mode (see repro.faults.chaos).
-    chaos: bool = False
     # Checkpoint/restore (see repro.core.checkpoint).  ``checkpoint``
     # writes a restorable checkpoint file during the run (every
     # ``checkpoint_every_s`` sim-seconds, or once at mid-run); ``restore``
-    # ignores the build knobs above and resumes the checkpointed run.
+    # ignores every build knob and resumes the checkpointed run, whose
+    # recipe rebuilds what it selected.
     checkpoint: Optional[str] = None
     checkpoint_every_s: Optional[float] = None
     restore: Optional[str] = None
     # North-facing service layer (see repro.service): a RequestTrace
-    # replayed against the running pilot; ``result.service`` holds the
-    # response log.
+    # replayed against the running pilot (PilotConfig.serve_trace);
+    # ``result.service`` holds the response log.
     serve_trace: Any = None
     # Durable history (see repro.store): a directory for the append-only
     # segment store behind ShortTermHistory.  None (default) constructs
-    # nothing, keeping pinned fixtures byte-identical.
+    # nothing, keeping pinned fixtures byte-identical.  With the five
+    # settings below it becomes PilotConfig.store, a StoreConfig.
     store_dir: Optional[str] = None
     store_flush_s: float = 60.0
     store_segment_bytes: int = 4 * 1024 * 1024
@@ -114,136 +107,78 @@ class RunResult:
     report: PilotReport
     # The finished PilotRunner — tracer, profiler, metrics, services.
     runner: Any = None
-    # The ChaosRunResult when options.chaos was set (invariants, plan,
-    # fingerprint); None for plain runs.
-    chaos: Any = None
-    # The NgsiService when options.serve_trace was set; None otherwise.
+    # ``runner.service``: the NgsiService when the run replayed a
+    # serve_trace, restored runs included; None otherwise.
     service: Any = None
 
 
 def run(options: RunOptions) -> RunResult:
     """Build, run and post-process one run per ``options``."""
-    tracing = options.trace_config()
-    if options.serve_trace is not None and (
-        options.chaos or options.checkpoint is not None or options.restore is not None
-    ):
-        raise ValueError(
-            "serve_trace is not supported with chaos, checkpoint or restore "
-            "(the service pump is not part of the rebuild recipe)"
-        )
     if options.store_dir is not None and (
-        options.chaos or options.checkpoint is not None or options.restore is not None
+        options.checkpoint is not None or options.restore is not None
     ):
         raise ValueError(
-            "store_dir is not supported with chaos, checkpoint or restore "
-            "(the store's flush pump is not part of the rebuild recipe)"
+            "store_dir is not supported with checkpoint or restore: replaying "
+            "the run to its barrier would append the store's records a "
+            "second time"
         )
 
     if options.restore is not None:
-        from repro.core import checkpoint as _checkpoint
+        restored = checkpoint.restore(options.restore)
+        report = checkpoint.resume(restored)
+        runner = restored.runner
+        return RunResult(report=report, runner=runner, service=runner.service)
 
-        restored = _checkpoint.restore(options.restore)
-        report = _checkpoint.resume(restored)
-        return RunResult(report=report, runner=restored.runner)
-
-    if options.checkpoint is not None and options.chaos:
-        raise ValueError(
-            "checkpointing is not supported in chaos mode (the chaos "
-            "harness owns the run loop)"
+    # Only the options that are set, so that an explicit config without
+    # them builds exactly PilotRunner(config).
+    overrides: Dict[str, Any] = {}
+    tracing = options.trace_config()
+    if tracing is not None:
+        overrides["tracing"] = tracing
+    if options.profile:
+        overrides["profile"] = True
+    if options.store_dir is not None:
+        overrides["store"] = StoreConfig(
+            root=options.store_dir,
+            flush_interval_s=options.store_flush_s,
+            max_segment_bytes=options.store_segment_bytes,
+            compact_interval_s=options.store_compact_s,
+            retention_age_s=options.store_retention_age_s,
+            retention_bytes=options.store_retention_bytes,
         )
+    if options.serve_trace is not None:
+        overrides["serve_trace"] = options.serve_trace
 
-    if options.chaos:
-        from repro.faults.chaos import run_chaos as _run_chaos
-
-        result = _run_chaos(
-            options.seed,
-            plan=options.faults,
-            tracing=tracing,
-            profile=options.profile,
-        )
-        return RunResult(report=result.report, runner=result.runner, chaos=result)
-
-    recipe = None
     if options.config is not None:
         config = options.config
-        # Apply overrides only when explicitly enabled: the untouched path
-        # must construct exactly PilotRunner(config) for bit-identity with
-        # the deprecated run_pilot shim.
-        if tracing is not None or options.profile:
-            config = dataclasses.replace(
-                config,
-                tracing=tracing if tracing is not None else config.tracing,
-                profile=options.profile or config.profile,
-            )
-        runner = PilotRunner(config)
-        if options.checkpoint is not None:
-            from repro.core.checkpoint import RunRecipe
-
-            recipe = RunRecipe(config=config)
+        if overrides:
+            config = dataclasses.replace(config, **overrides)
+        recipe = checkpoint.RunRecipe(config=config)
     else:
-        from repro.core.pilots import PILOT_BUILDERS
-
-        builder = PILOT_BUILDERS.get(options.pilot)
-        if builder is None:
+        if options.pilot not in PILOT_BUILDERS:
             raise ValueError(
                 f"unknown pilot {options.pilot!r}; choose from {sorted(PILOT_BUILDERS)}"
             )
+        # Plain picklable values: a restore rebuilds through the same
+        # builder with the same inputs.
         kwargs: Dict[str, Any] = {
             "seed": options.seed,
             "security": options.security,
             "fault_plan": options.faults,
             "resilience": options.resilience,
-            "tracing": tracing,
-            "profile": options.profile,
+            **overrides,
+            **options.pilot_kwargs,
         }
-        kwargs.update(options.pilot_kwargs)
-        runner = builder(**kwargs)
-        if options.checkpoint is not None:
-            from repro.core.checkpoint import RunRecipe
-
-            # The kwargs are plain picklable values — the recipe
-            # rebuilds through the same builder with the same inputs.
-            recipe = RunRecipe(pilot=options.pilot, builder_kwargs=kwargs)
-
-    if options.store_dir is not None:
-        from repro.store.durable import attach_durable_history
-
-        retention = None
-        if (options.store_retention_age_s is not None
-                or options.store_retention_bytes is not None):
-            from repro.store.columnar import RetentionConfig, RetentionPolicy
-
-            retention = RetentionConfig(default=RetentionPolicy(
-                max_age_s=options.store_retention_age_s,
-                max_bytes=options.store_retention_bytes,
-            ))
-        attach_durable_history(
-            runner, options.store_dir,
-            flush_interval_s=options.store_flush_s,
-            max_segment_bytes=options.store_segment_bytes,
-            compact_interval_s=options.store_compact_s,
-            retention=retention,
-        )
-
-    service = None
-    if options.serve_trace is not None:
-        from repro.service.loadgen import schedule_trace
-        from repro.service.app import NgsiService
-
-        service = NgsiService(
-            runner.sim, runner.context, runner.history, runner.security
-        )
-        schedule_trace(service, options.serve_trace)
+        recipe = checkpoint.RunRecipe(pilot=options.pilot, builder_kwargs=kwargs)
+    runner = recipe.build()
 
     if options.checkpoint is not None:
-        from repro.core.checkpoint import run_with_checkpoints
-
         horizon_s = (
             runner.sim.now + options.days * DAY
             if options.days is not None
             else runner.season_end_s
         )
-        report = run_with_checkpoints(
+        report = checkpoint.run_with_checkpoints(
             runner, recipe, horizon_s,
             options.checkpoint, every_s=options.checkpoint_every_s,
         )
@@ -252,4 +187,4 @@ def run(options: RunOptions) -> RunResult:
         report = runner.report()
     else:
         report = runner.run_season()
-    return RunResult(report=report, runner=runner, service=service)
+    return RunResult(report=report, runner=runner, service=runner.service)

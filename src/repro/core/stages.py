@@ -13,6 +13,12 @@ holds that pin).  Each step reads what the steps before it built::
     security ──► tiers ──► agent ─┬─► devices ──► provisioning ──► scheduler
                         physics ──┘                                    │
                                       security wiring (detection, command tap)
+                                                                       │
+             [service] ◄── [store] ◄── [resilience] ◄── [fault injector]
+
+The bracketed steps run only when their ``PilotConfig`` field is set.
+The config carries that choice, so a checkpoint restore, which rebuilds
+the runner from its config or builder kwargs, builds the same steps.
 """
 
 from repro.agents.iot_agent import DeviceProvision, IoTAgent
@@ -33,6 +39,10 @@ from repro.physics.field import Field
 from repro.physics.ndvi import NdviTracker
 from repro.physics.weather import WeatherGenerator
 from repro.resilience import CircuitBreaker, DegradedModePolicy, Supervisor
+from repro.service.app import attach_service
+from repro.service.loadgen import schedule_trace
+from repro.store.columnar import RetentionConfig, RetentionPolicy
+from repro.store.durable import attach_durable_history
 
 
 def build_security(runner) -> None:
@@ -477,13 +487,39 @@ def build_resilience(runner) -> None:
     supervisor.start()
 
 
+def build_store(runner) -> None:
+    """The durable segment store behind the history (``config.store``)."""
+    store = runner.config.store
+    retention = None
+    if store.retention_age_s is not None or store.retention_bytes is not None:
+        retention = RetentionConfig(default=RetentionPolicy(
+            max_age_s=store.retention_age_s, max_bytes=store.retention_bytes,
+        ))
+    attach_durable_history(
+        runner, store.root,
+        flush_interval_s=store.flush_interval_s,
+        max_segment_bytes=store.max_segment_bytes,
+        compact_interval_s=store.compact_interval_s,
+        retention=retention,
+    )
+
+
+def build_service(runner) -> None:
+    """The north-facing service, replaying ``config.serve_trace``."""
+    runner.service = attach_service(runner)
+    schedule_trace(runner.service, runner.config.serve_trace)
+
+
 def assemble(runner) -> None:
-    """Run every step in order; the fault injector and the resilience layer
-    are built only when the config sets ``fault_plan`` and ``resilience``."""
+    """Run every step in order; the fault injector, the resilience layer,
+    the store and the service are built only when the config sets
+    ``fault_plan``, ``resilience``, ``store`` and ``serve_trace``."""
     runner.fault_injector = None
     runner.supervisor = None
     runner.uplink_breaker = None
     runner.degraded_mode = None
+    runner.durability = None
+    runner.service = None
     build_security(runner)
     build_tiers(runner)
     start_agent(runner)
@@ -496,3 +532,7 @@ def assemble(runner) -> None:
         build_fault_injector(runner)
     if runner.config.resilience is not None:
         build_resilience(runner)
+    if runner.config.store is not None:
+        build_store(runner)
+    if runner.config.serve_trace is not None:
+        build_service(runner)

@@ -403,9 +403,10 @@ def check_invariants(runner, plan: FaultPlan, supervised: bool = True) -> List[I
 def check_storage_invariants(runner) -> List[InvariantResult]:
     """Durability and delivery audits, for runners that opted in.
 
-    A runner without ``durability``/``delivery`` attached passes
-    trivially (no results) — these are the invariants the storage fault
-    kinds attack, so they are only decidable when the subsystems exist.
+    A runner without ``durability``, or without a service whose delivery
+    is enabled (``runner.service.delivery``), passes trivially (no
+    results) — these are the invariants the storage fault kinds attack,
+    so they are only decidable when the subsystems exist.
 
     * **zero committed-record loss**: no recovery ever surfaced fewer
       records than the store had committed (`lost_committed == 0`), and
@@ -446,7 +447,8 @@ def check_storage_invariants(runner) -> List[InvariantResult]:
                   f"overlap_chunks={audit['overlap_chunks']} "
                   f"overlap_segments={audit['overlap_segments']}")
 
-    delivery = getattr(runner, "delivery", None)
+    # Stub runners in the store tests carry no ``service`` attribute.
+    delivery = getattr(getattr(runner, "service", None), "delivery", None)
     if delivery is not None:
         audit = delivery.audit()
         check("accepted notifications conserved", audit["conserved"],

@@ -60,12 +60,12 @@ def parse_farm_specs(spec: str) -> List[FarmSpec]:
 class FleetOptions:
     """Everything a fleet run needs.
 
-    ``executor`` picks how shards execute: ``"inprocess"`` interleaves
-    them in this process (tests, debugging), ``"multiprocessing"`` fans
-    out over a spawn-context pool of ``workers`` processes, and
-    ``"auto"`` uses multiprocessing whenever ``workers > 1``.  All three
-    produce bit-identical merged reports — the executor is a throughput
-    knob, never a semantics knob.
+    ``executor`` picks how shards execute: ``"inprocess"`` runs them one
+    after another in this process (tests, debugging),
+    ``"multiprocessing"`` fans out over a spawn-context pool of
+    ``workers`` processes, and ``"auto"`` uses multiprocessing whenever
+    ``workers > 1``.  All three produce bit-identical merged reports —
+    the executor is a throughput knob, never a semantics knob.
     """
 
     farms: List[FarmSpec]

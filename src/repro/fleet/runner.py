@@ -4,11 +4,11 @@
 them on an executor, and folds the shard results into one
 :class:`FleetReport`.  The merge is seeded and order-stable: shard
 results arrive in task order from every executor (``Pool.map`` preserves
-input order; the in-process loop iterates in index order), sync batches
-are folded sorted by ``(epoch, shard index)``, and the fingerprint
-hashes a canonical JSON rendering that excludes wall-clock and worker
-information — so the same seed yields the same fingerprint on 1, 2 or 8
-workers, in-process or multiprocessing.
+input order; in-process, the shards run one after another in index
+order), sync batches are folded sorted by ``(epoch, shard index)``, and
+the fingerprint hashes a canonical JSON rendering that excludes
+wall-clock and worker information — so the same seed yields the same
+fingerprint on 1, 2 or 8 workers, in-process or multiprocessing.
 """
 
 import dataclasses
@@ -19,13 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List
 
 from repro.fleet.options import FleetError, FleetOptions
-from repro.fleet.shard import (
-    ShardExecution,
-    ShardResult,
-    ShardSyncBatch,
-    make_tasks,
-    run_shard,
-)
+from repro.fleet.shard import ShardResult, ShardSyncBatch, make_tasks, run_shard
 
 #: Report fields averaged (not summed) in the fleet totals.
 _MEAN_FIELDS = ("relative_yield",)
@@ -115,24 +109,6 @@ def fleet_fingerprint(report: FleetReport) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _run_inprocess(tasks) -> List[ShardResult]:
-    """Interleave every shard epoch-by-epoch in this process.
-
-    Each shard's own barrier/drain sequence is identical to what
-    :func:`~repro.fleet.shard.run_shard` produces in a worker — the
-    shards are independent simulations, so interleaving order cannot
-    leak between them.
-    """
-    executions = [ShardExecution(task) for task in tasks]
-    barrier_lists = [e.barriers() for e in executions]
-    rounds = max((len(b) for b in barrier_lists), default=0)
-    for epoch in range(rounds):
-        for execution, barriers in zip(executions, barrier_lists):
-            if epoch < len(barriers):
-                execution.advance_to(barriers[epoch], epoch)
-    return [execution.finish() for execution in executions]
-
-
 def _run_multiprocessing(tasks, options: FleetOptions) -> List[ShardResult]:
     from multiprocessing import get_context
 
@@ -151,7 +127,7 @@ def run_fleet(options: FleetOptions) -> FleetResult:
         executor = "multiprocessing" if options.workers > 1 else "inprocess"
     wall_started = time.perf_counter()
     if executor == "inprocess":
-        results = _run_inprocess(tasks)
+        results = [run_shard(task) for task in tasks]
     elif executor == "multiprocessing":
         results = _run_multiprocessing(tasks, options)
     else:  # pragma: no cover - validate() already rejected it

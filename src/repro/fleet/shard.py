@@ -1,14 +1,15 @@
 """One fleet shard: a single farm simulated to completion in segments.
 
-A shard wraps one :class:`~repro.core.pilot.PilotRunner` and drives it
-with :meth:`~repro.simkernel.simulator.Simulator.run_until` to successive
-epoch barriers.  At each barrier it drains a :class:`ShardSyncBatch` —
-the *delta* of fog→cloud sync progress (and cloud-side ingest) since the
-previous barrier — which is what crosses the shard boundary to the merge
-layer.  Everything here is picklable: tasks go down to worker processes,
-results come back.
+:func:`run_shard` builds one :class:`~repro.core.pilot.PilotRunner` and
+drives it with :meth:`~repro.simkernel.simulator.Simulator.run_until` to
+successive epoch barriers.  At each barrier it drains a
+:class:`ShardSyncBatch` — the *delta* of fog→cloud sync progress (and
+cloud-side ingest) since the previous barrier — which is what crosses the
+shard boundary to the merge layer.  Everything here is picklable: tasks
+go down to worker processes, results come back.
 """
 
+import dataclasses
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional
 
@@ -59,93 +60,58 @@ class ShardResult:
     wall_time_s: float = 0.0
 
 
-class ShardExecution:
-    """Drives one shard's runner through its epoch barriers."""
+def run_shard(task: ShardTask) -> ShardResult:
+    """Execute one shard start to finish (the worker-process entrypoint).
 
-    def __init__(self, task: ShardTask) -> None:
-        from repro.core.pilots import PILOT_BUILDERS
+    Builds the farm, runs it to each epoch barrier and drains that
+    epoch's sync-progress delta, then runs to the horizon.  Module-level
+    and driven purely by the picklable task, so ``multiprocessing.Pool.map``
+    can ship it to spawn-context workers.
+    """
+    from repro.core.pilots import PILOT_BUILDERS
 
-        builder = PILOT_BUILDERS.get(task.pilot)
-        if builder is None:
-            raise FleetError(f"unknown pilot {task.pilot!r} in shard {task.name!r}")
-        self.task = task
-        self.runner = builder(seed=task.seed, **task.kwargs)
-        self.horizon_s = (
-            task.days * DAY if task.days is not None else self.runner.season_end_s
-        )
-        self.batches: List[ShardSyncBatch] = []
-        self._last_counts = (0, 0, 0, 0)
-        self.runner.start_season()
+    builder = PILOT_BUILDERS.get(task.pilot)
+    if builder is None:
+        raise FleetError(f"unknown pilot {task.pilot!r} in shard {task.name!r}")
+    runner = builder(seed=task.seed, **task.kwargs)
+    sim = runner.sim
+    horizon_s = task.days * DAY if task.days is not None else runner.season_end_s
+    batches: List[ShardSyncBatch] = []
+    last = (0, 0, 0, 0)
 
-    def barriers(self) -> List[float]:
-        """The epoch barriers strictly inside this shard's run."""
-        out: List[float] = []
-        t = self.task.epoch_s
-        while t < self.horizon_s:
-            out.append(t)
-            t += self.task.epoch_s
-        return out
-
-    def _counts(self) -> tuple:
-        runner = self.runner
+    def drain() -> None:
+        nonlocal last
         replicator = runner.replicator
-        return (
+        counts = (
             replicator.updates_captured if replicator else 0,
             replicator.updates_synced if replicator else 0,
             replicator.batches_acked if replicator else 0,
             runner.agent.stats.measures_processed,
         )
+        delta = [now - prev for now, prev in zip(counts, last)]
+        last = counts
+        batches.append(ShardSyncBatch(
+            shard=task.index, name=task.name, epoch=len(batches),
+            time_s=sim.now, updates_captured=delta[0], updates_synced=delta[1],
+            batches_acked=delta[2], measures_processed=delta[3],
+        ))
 
-    def drain(self, epoch: int) -> ShardSyncBatch:
-        """Capture the sync-progress delta since the previous drain."""
-        counts = self._counts()
-        delta = tuple(now - prev for now, prev in zip(counts, self._last_counts))
-        self._last_counts = counts
-        batch = ShardSyncBatch(
-            shard=self.task.index,
-            name=self.task.name,
-            epoch=epoch,
-            time_s=self.runner.sim.now,
-            updates_captured=delta[0],
-            updates_synced=delta[1],
-            batches_acked=delta[2],
-            measures_processed=delta[3],
-        )
-        self.batches.append(batch)
-        return batch
-
-    def advance_to(self, barrier_s: float, epoch: int) -> ShardSyncBatch:
-        """Run to the barrier and drain the epoch delta."""
-        self.runner.sim.run_until(barrier_s)
-        return self.drain(epoch)
-
-    def finish(self) -> ShardResult:
-        """Run the final segment to the horizon and build the result."""
-        import dataclasses
-
-        self.runner.sim.run(until=self.horizon_s)
-        self.drain(len(self.batches))
-        sim = self.runner.sim
-        return ShardResult(
-            index=self.task.index,
-            name=self.task.name,
-            report=dataclasses.asdict(self.runner.report()),
-            batches=self.batches,
-            events_executed=sim.events_executed,
-            wall_time_s=sim.wall_time_s,
-        )
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Execute one shard start to finish (the worker-process entrypoint).
-
-    Module-level and driven purely by the picklable task, so
-    ``multiprocessing.Pool.map`` can ship it to spawn-context workers.
-    """
-    execution = ShardExecution(task)
-    for epoch, barrier in enumerate(execution.barriers()):
-        execution.advance_to(barrier, epoch)
-    return execution.finish()
+    runner.start_season()
+    barrier = task.epoch_s
+    while barrier < horizon_s:
+        sim.run_until(barrier)
+        drain()
+        barrier += task.epoch_s
+    sim.run(until=horizon_s)
+    drain()
+    return ShardResult(
+        index=task.index,
+        name=task.name,
+        report=dataclasses.asdict(runner.report()),
+        batches=batches,
+        events_executed=sim.events_executed,
+        wall_time_s=sim.wall_time_s,
+    )
 
 
 def make_tasks(options) -> List[ShardTask]:

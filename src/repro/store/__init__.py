@@ -28,6 +28,7 @@ from repro.store.columnar import (
 from repro.store.durable import (
     DurabilityService,
     SegmentStore,
+    StoreConfig,
     attach_durable_history,
     decode_sample,
     encode_sample,
@@ -60,6 +61,7 @@ __all__ = [
     "ScanResult",
     "SegmentStore",
     "StorageFaults",
+    "StoreConfig",
     "StoreError",
     "TornWriteError",
     "attach_durable_history",

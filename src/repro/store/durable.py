@@ -33,15 +33,16 @@ recovered prefix — after which reads are exactly what an uninterrupted
 run truncated at the commit point would serve (the E20 property).
 
 Everything here is **off by default**: no pilot constructs a store
-unless ``RunOptions.store_dir`` (CLI ``--store``) or an explicit
-:func:`attach_durable_history` call asks for one, so pinned fixtures
-and the E18/E19 benchmarks are untouched.
+unless its ``PilotConfig.store`` is set (``RunOptions.store_dir``, CLI
+``--store``) or an explicit :func:`attach_durable_history` call asks for
+one, so pinned fixtures and the E18/E19 benchmarks are untouched.
 """
 
 import json
 import os
 import time
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -65,6 +66,7 @@ from repro.store.segment import (
 __all__ = [
     "DurabilityService",
     "SegmentStore",
+    "StoreConfig",
     "attach_durable_history",
     "decode_sample",
     "encode_sample",
@@ -759,6 +761,22 @@ class DurabilityService:
         if self.compaction is not None:
             data["compaction"] = self.compaction.report()
         return data
+
+
+@dataclass(frozen=True)
+class StoreConfig:
+    """A pilot's durable store: the ``PilotConfig.store`` assembly step.
+
+    The fields are :func:`attach_durable_history`'s arguments; the two
+    retention caps (``None`` = unbounded) become its ``RetentionConfig``.
+    """
+
+    root: str
+    flush_interval_s: float = 60.0
+    max_segment_bytes: int = 4 * 1024 * 1024
+    compact_interval_s: Optional[float] = None
+    retention_age_s: Optional[float] = None
+    retention_bytes: Optional[int] = None
 
 
 def attach_durable_history(

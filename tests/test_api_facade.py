@@ -63,7 +63,6 @@ class TestFacadeSurface:
         assert result.report.name == "facade-smoke"
         assert result.report.season_days == 2
         assert result.runner is not None
-        assert result.chaos is None
 
 
 class TestCompletedDeprecations:

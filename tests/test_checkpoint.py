@@ -280,10 +280,6 @@ class TestRunOptionsIntegration:
         resumed = run(RunOptions(restore=str(path)))
         assert dataclasses.asdict(resumed.report) == dataclasses.asdict(original.report)
 
-    def test_checkpoint_rejected_in_chaos_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="chaos"):
-            run(RunOptions(chaos=True, checkpoint=str(tmp_path / "x.ck")))
-
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(cp.CheckpointError, match="positive"):
             run(RunOptions(

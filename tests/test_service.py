@@ -883,16 +883,6 @@ class TestLoadgenAndRun:
         assert renewed != token
         assert service.handle(Request("GET", "/v2/entities", token=renewed)).status == 200
 
-    def test_serve_trace_conflicts_with_chaos(self):
-        from repro.core.run import RunOptions, run
-        from repro.service import standard_trace
-
-        trace = standard_trace(seed=5, duration_s=10.0,
-                               entity_ids=self._entity_ids(), farm=self.FARM)
-        with pytest.raises(ValueError, match="serve_trace is not supported"):
-            run(RunOptions(pilot=self.FARM, seed=5, days=1,
-                           serve_trace=trace, chaos=True))
-
     def test_cli_serve_round_trip(self, tmp_path):
         import io
 

@@ -588,7 +588,7 @@ class TestRunIntegration:
     def test_store_dir_rejected_with_chaos_and_checkpoint(self, tmp_path):
         from repro.api import RunOptions, run
 
-        for extra in ({"chaos": True}, {"checkpoint": str(tmp_path / "ck")}):
+        for extra in ({"restore": str(tmp_path / "ck")}, {"checkpoint": str(tmp_path / "ck")}):
             with pytest.raises(ValueError, match="store_dir is not supported"):
                 run(RunOptions(pilot="matopiba", days=0.1,
                                store_dir=str(tmp_path / "wal"), **extra))
