@@ -27,7 +27,7 @@ through :func:`repro.core.run.run`.
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.analytics.economics import Tariffs, deployment_benefit_eur, price_season
 from repro.core.pilot import PilotReport
@@ -168,10 +168,16 @@ def _print_metrics_summary(runner, out) -> None:
 
 
 def _write_file(path: str, text: str, what: str) -> None:
+    _write_lines(path, (text,), what)
+
+
+def _write_lines(path: str, lines: Iterable[str], what: str) -> None:
+    """Write each line as it comes, each ending in a newline."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
     except OSError as exc:
         raise SystemExit(f"cannot write {what} to {path!r}: {exc}")
 
@@ -332,7 +338,7 @@ def cmd_serve(args, out) -> int:
         file=out,
     )
     if args.responses:
-        _write_file(args.responses, service.response_log(), "response log")
+        _write_lines(args.responses, service.response_lines(), "response log")
         print(f"response log written to {args.responses}", file=out)
     print(f"response digest: {report['digest']}", file=out)
     _write_run_artifacts(args, result.runner, out)

@@ -37,7 +37,10 @@ Every request ends as one *record* — ``(seq, tenant, method, path,
 at_s, done_s, status, cache, body)`` — and the canonical JSON response
 log over those records is the bit-identity artifact: same seed + same
 trace ⇒ byte-identical log (E19 asserts this; wall-clock timings are
-reported separately and never enter the log).
+reported separately and never enter the log).  The log is serialized
+one line at a time, by :meth:`NgsiService.response_lines` for the
+retained records and at eviction for the ones ``max_records`` drops, so
+neither the digest nor the CLI's ``--responses`` file ever holds it whole.
 """
 
 import hashlib
@@ -46,7 +49,7 @@ import re
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.context.broker import ContextBroker
 from repro.context.delivery import DeliveryConfig, DeliveryManager, SimulatedEndpoint
@@ -99,8 +102,9 @@ class ServiceConfig:
     cache_capacity: int = 1024
     default_page_limit: int = 20
     max_page_limit: int = 1000
-    #: Cap on retained request records (oldest dropped and counted in
-    #: ``records_dropped`` beyond this).
+    #: Cap on retained request records (beyond it the oldest is folded
+    #: into the response digest, dropped and counted in
+    #: ``records_dropped``).
     max_records: int = 200_000
 
 
@@ -111,6 +115,11 @@ def percentile(values: List[float], p: float) -> float:
     ordered = sorted(values)
     rank = max(1, min(len(ordered), int(round(p / 100.0 * len(ordered) + 0.5))))
     return ordered[rank - 1]
+
+
+def _log_line(record: Dict[str, Any]) -> str:
+    """One record's line of the canonical response log."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _render_attribute(attr) -> Dict[str, Any]:
@@ -213,9 +222,16 @@ class NgsiService:
         #: The regional release's anonymiser; None until
         #: :meth:`enable_regional_release`.
         self.anonymizer: Optional[Anonymizer] = None
-        self.records: Deque[Dict[str, Any]] = deque(maxlen=self.config.max_records)
+        self.records: Deque[Dict[str, Any]] = deque()
+        #: SHA-256 over the log lines of the records the cap evicted.
+        self._evicted = hashlib.sha256()
         self._seq = 0
         self._pump = None
+        #: An idle pump waits on this; :meth:`submit` fires it when it
+        #: queues a request, :meth:`expect_arrivals` when arrivals are due.
+        self._wake = sim.signal("service-wake")
+        #: Arrivals announced by :meth:`expect_arrivals` not yet submitted.
+        self._arrivals_pending = 0
         self.wall_time_s = 0.0
         #: Requests admitted to :meth:`_accept` (``_seq`` lags the ones
         #: still queued) and refusals by reason (an auth refusal may
@@ -369,12 +385,24 @@ class NgsiService:
         if self._pump is None:
             self._pump = self.sim.spawn(self._pump_loop(), name="service-pump")
 
+    def expect_arrivals(self, count: int) -> None:
+        """Announce ``count`` scheduled arrivals, each to be passed to
+        :meth:`submit` with ``arrival=True``: until the last is, the pump
+        keeps ticking even when every backlog is empty."""
+        self._arrivals_pending += count
+        self._wake.fire()
+
     def _pump_loop(self):
         while True:
-            self._drain_tick()
+            if not self._drain_tick() and not self._arrivals_pending:
+                # Nothing queued and no arrival due: sleep until a request
+                # is queued, then drain it one interval later.
+                yield self._wake
             yield self.config.pump_interval_s
 
-    def _drain_tick(self) -> None:
+    def _drain_tick(self) -> bool:
+        """Drain up to the per-tick budget; True if a backlog still holds
+        requests."""
         budget = self.config.max_requests_per_tick
         names = sorted(self._tenants)
         progress = True
@@ -390,14 +418,22 @@ class NgsiService:
                 self._execute(route, request, params, tenant, at_s)
                 budget -= 1
                 progress = True
+        return any(self._tenants[name].backlog for name in names)
 
     # -- request path -----------------------------------------------------------
 
-    def submit(self, request: Request) -> Optional[Response]:
+    def submit(self, request: Request, arrival: bool = False) -> Optional[Response]:
         """Admit a request.  Before :meth:`start` it executes at once and
         returns the response; after, admissions queue and return None (the
-        response lands in the record log when the pump executes them)."""
-        return self._accept(request, queue=self._pump is not None)
+        response lands in the record log when the pump executes them).
+        ``arrival`` marks one of the arrivals :meth:`expect_arrivals`
+        announced."""
+        if arrival:
+            self._arrivals_pending -= 1
+        response = self._accept(request, queue=self._pump is not None)
+        if response is None:
+            self._wake.fire()
+        return response
 
     def handle(self, request: Request) -> Response:
         """Synchronous path: admit and execute now, pump or no pump."""
@@ -566,7 +602,15 @@ class NgsiService:
             "cache": cache_state,
             "body": response.body,
         })
+        if len(self.records) > self.config.max_records:
+            self._evict_oldest()
         return response
+
+    def _evict_oldest(self) -> None:
+        """Fold the oldest record's log line into the digest and drop it."""
+        if self.records_dropped:
+            self._evicted.update(b"\n")
+        self._evicted.update(_log_line(self.records.popleft()).encode("utf-8"))
 
     # -- handlers -----------------------------------------------------------
 
@@ -818,15 +862,25 @@ class NgsiService:
         """Records the ``max_records`` cap evicted (every request has a seq)."""
         return self._seq - len(self.records)
 
+    def response_lines(self) -> Iterator[str]:
+        """The canonical JSON line of each retained record, oldest first."""
+        for record in self.records:
+            yield _log_line(record)
+
     def response_log(self) -> str:
-        """Canonical JSON-lines log of every record (the bit-identity artifact)."""
-        return "\n".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.records
-        )
+        """Canonical JSON-lines log of the retained records."""
+        return "\n".join(self.response_lines())
 
     def response_log_digest(self) -> str:
-        return hashlib.sha256(self.response_log().encode("utf-8")).hexdigest()
+        """SHA-256 of the log of every request, the evicted ones included
+        (the bit-identity artifact), hashed one line at a time."""
+        digest = self._evicted.copy()
+        separator = b"\n" if self.records_dropped else b""
+        for line in self.response_lines():
+            digest.update(separator)
+            digest.update(line.encode("utf-8"))
+            separator = b"\n"
+        return digest.hexdigest()
 
     def report(self) -> Dict[str, Any]:
         by_status: Dict[int, int] = {}
@@ -851,8 +905,8 @@ class NgsiService:
         }
         cache = self.cache
         return {
-            # Every request handled; by_status and the latencies cover the
-            # retained records only.
+            # Every request handled, as the digest covers; by_status and
+            # the latencies cover the retained records only.
             "requests": self._seq,
             "records_dropped": self.records_dropped,
             "by_status": {str(k): v for k, v in sorted(by_status.items())},

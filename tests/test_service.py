@@ -1,6 +1,9 @@
 """The north-facing service layer: routing, auth, tenancy, quotas, cache."""
 
+import hashlib
 import json
+import re
+import tracemalloc
 
 import pytest
 
@@ -875,6 +878,29 @@ class TestLoadgenAndRun:
         assert service.tenants() == []
         assert len(service.sim.queue) == pending
 
+    def test_idle_pump_sleeps_until_a_request_is_queued(self):
+        from repro.service import schedule_trace, standard_trace
+
+        service = make_service(pump_interval_s=2.5)
+        seed_entities(service.broker)
+        trace = standard_trace(seed=5, duration_s=60.0, farm="demo",
+                               entity_ids=[f"{FARM_PREFIX}0-{i}" for i in range(3)])
+        scheduled = schedule_trace(service, trace)
+        sim = service.sim
+        sim.run_until(trace.duration_s + 30.0)
+        assert len(service.records) == scheduled
+        pending = [label for *_, label in sim.queue.signature()]
+        assert "proc:service-pump" not in pending
+        executed = sim.events_executed
+        sim.run_until(sim.now + 86_400.0)
+        assert sim.events_executed == executed  # a day without a single tick
+        at_s = sim.now
+        token = service.tenant_token("dash-a")
+        assert service.submit(Request("GET", "/v2/entities", token=token)) is None
+        sim.run_until(at_s + 10.0)
+        record = service.records[-1]
+        assert (record["at_s"], record["done_s"], record["status"]) == (at_s, at_s + 2.5, 200)
+
     def test_revoked_tenant_token_is_regranted(self):
         service = make_service()
         token = register_dash(service)
@@ -903,6 +929,9 @@ class TestLoadgenAndRun:
             "--requests", str(trace_path), "--responses", str(log_b),
         ], out=io.StringIO()) == 0
         assert log_a.read_bytes() == log_b.read_bytes()
+        # The file is the digested log, plus a final newline.
+        printed = re.search(r"response digest: ([0-9a-f]{64})", out.getvalue()).group(1)
+        assert hashlib.sha256(log_a.read_bytes()[:-1]).hexdigest() == printed
 
 
 class TestResponseLog:
@@ -943,3 +972,38 @@ class TestResponseLog:
         assert report["records_dropped"] == 2
         assert [r["seq"] for r in service.records] == [3, 4, 5]  # newest kept
         assert sum(report["by_status"].values()) == 3
+
+    @pytest.mark.parametrize("max_records", [3, 0])
+    def test_digest_covers_the_records_the_cap_evicts(self, max_records):
+        def five_requests(**config):
+            service = make_service(**config)
+            seed_entities(service.broker)
+            token = register_dash(service)
+            for i in range(5):
+                service.handle(Request("GET", "/v2/entities",
+                                       params={"limit": str(i + 1)}, token=token))
+            return service
+
+        capped, uncapped = five_requests(max_records=max_records), five_requests()
+        assert capped.records_dropped == 5 - max_records
+        assert len(capped.response_log().splitlines()) == max_records
+        assert capped.response_log_digest() == uncapped.response_log_digest()
+        assert capped.report()["digest"] == uncapped.report()["digest"]
+
+    def test_digest_never_holds_the_log(self):
+        service = make_service()
+        seed_entities(service.broker)
+        token = register_dash(service)
+        for i in range(400):
+            service.handle(Request("GET", "/v2/entities",
+                                   params={"limit": str(i % 7 + 1)}, token=token))
+        log_bytes = len(service.response_log().encode("utf-8"))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            service.response_log_digest()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < log_bytes / 4, (peak, log_bytes)

@@ -585,7 +585,7 @@ class TestRunIntegration:
         assert durability.store.committed == durability.store.appended
         assert durability.report()["lost_committed"] == 0
 
-    def test_store_dir_rejected_with_chaos_and_checkpoint(self, tmp_path):
+    def test_store_dir_rejected_with_checkpoint_and_restore(self, tmp_path):
         from repro.api import RunOptions, run
 
         for extra in ({"restore": str(tmp_path / "ck")}, {"checkpoint": str(tmp_path / "ck")}):
