@@ -39,6 +39,7 @@ else:
     from _harness import print_table, record_rows, run_once
 
 from repro.core.run import RunOptions, run
+from repro.telemetry.tracing import TraceConfig
 
 PILOT_KWARGS = {"rows": 3, "cols": 3, "season_days": 4}
 SEED = 16
@@ -50,12 +51,11 @@ def _arm_options(arm: str) -> RunOptions:
     options = RunOptions(pilot="matopiba", seed=SEED,
                          pilot_kwargs=dict(PILOT_KWARGS))
     if arm == "traced":
-        options.trace = True
+        options.tracing = TraceConfig()
     elif arm == "sampled":
-        options.trace = True
-        options.trace_sample_rate = SAMPLED_RATE
+        options.tracing = TraceConfig(sample_rate=SAMPLED_RATE)
     elif arm == "traced+profiled":
-        options.trace = True
+        options.tracing = TraceConfig()
         options.profile = True
     return options
 

@@ -27,14 +27,16 @@ import sys
 if __name__ == "__main__":  # allow `python examples/trace_smoke.py`
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.api import RunOptions, run, validate_chrome_trace, validate_span_trees
+from repro.api import (
+    RunOptions, TraceConfig, run, validate_chrome_trace, validate_span_trees,
+)
 
 PILOT_KWARGS = {"rows": 2, "cols": 2, "season_days": 3}
 
 
 def main() -> int:
     traced = run(RunOptions(
-        pilot="matopiba", seed=5, trace=True, profile=True,
+        pilot="matopiba", seed=5, tracing=TraceConfig(), profile=True,
         pilot_kwargs=dict(PILOT_KWARGS),
     ))
     exported = json.loads(json.dumps(traced.runner.tracer.chrome_trace()))

@@ -18,10 +18,11 @@ the season report; ``compare`` runs the smart scheduler against the
 fixed-calendar baseline on the same field and weather and prints the
 business case (water, energy, money).
 
-Both subcommands share one options block built from
-:class:`repro.core.run.RunOptions` — every knob the programmatic
-entrypoint accepts has exactly one flag here, and both paths execute
-through :func:`repro.core.run.run`.
+The subcommands share one options block that maps onto
+:class:`repro.core.run.RunOptions`: the flags parse into the run fields'
+own types (``SecurityConfig``, ``FaultPlan``, ``TraceConfig``,
+``StoreConfig``), and every path executes through
+:func:`repro.core.run.run`.
 """
 
 import argparse
@@ -38,7 +39,8 @@ from repro.core.security_profile import SecurityConfig
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.resilience import ResilienceConfig
 from repro.service.errors import ServiceError
-from repro.store import StoreError
+from repro.store import StoreConfig, StoreError
+from repro.telemetry.tracing import TraceConfig
 
 SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
 
@@ -81,30 +83,30 @@ def _load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
 
 def _options_from_args(args, pilot_kwargs: Optional[dict] = None) -> RunOptions:
     """Map the shared CLI options block onto one :class:`RunOptions`."""
-    store = {}
-    if hasattr(args, "store"):  # run and serve; compare has no store flags
-        store = dict(
-            store_dir=args.store,
-            store_flush_s=args.store_flush,
-            store_segment_bytes=args.store_segment_bytes,
-            store_compact_s=args.store_compact,
-            store_retention_age_s=args.store_retention_age,
-            store_retention_bytes=args.store_retention_bytes,
+    store = None
+    if getattr(args, "store", None) is not None:  # compare has no store flags
+        store = StoreConfig(
+            root=args.store,
+            flush_interval_s=args.store_flush,
+            max_segment_bytes=args.store_segment_bytes,
+            compact_interval_s=args.store_compact,
+            retention_age_s=args.store_retention_age,
+            retention_bytes=args.store_retention_bytes,
         )
     return RunOptions(
         pilot=args.pilot,
-        seed=args.seed,
-        days=args.days,
-        security=parse_security_spec(args.security),
-        faults=_load_fault_plan(args.faults),
-        resilience=ResilienceConfig() if args.resilience else None,
-        trace=args.trace is not None,
-        profile=args.profile_top is not None,
         pilot_kwargs=dict(pilot_kwargs or {}),
+        days=args.days,
         checkpoint=getattr(args, "checkpoint", None),
         checkpoint_every_s=getattr(args, "checkpoint_every", None),
         restore=getattr(args, "restore", None),
-        **store,
+        seed=args.seed,
+        security=parse_security_spec(args.security),
+        fault_plan=_load_fault_plan(args.faults),
+        resilience=ResilienceConfig() if args.resilience else None,
+        tracing=TraceConfig() if args.trace is not None else None,
+        profile=args.profile_top is not None,
+        store=store,
     )
 
 
@@ -220,9 +222,8 @@ def cmd_run(args, out) -> int:
     _print_metrics_summary(runner, out)
     if runner.fault_injector is not None:
         injector = runner.fault_injector
-        fault_plan = options.faults
         print(
-            f"faults: plan {fault_plan.name!r}, "
+            f"faults: plan {runner.config.fault_plan.name!r}, "
             f"{injector.injected} injected, {injector.recovered} recovered, "
             f"{injector.active_count} still active",
             file=out,
@@ -421,11 +422,11 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
                         help="write history through a durable segment store "
                              "under DIR (crash-recoverable)")
     parser.add_argument("--store-flush", dest="store_flush", type=float,
-                        default=RunOptions.store_flush_s, metavar="SECS",
+                        default=StoreConfig.flush_interval_s, metavar="SECS",
                         help="fsync-barrier interval of the durable store "
                              "in sim-seconds (default %(default)g)")
     parser.add_argument("--store-segment-bytes", dest="store_segment_bytes",
-                        type=int, default=RunOptions.store_segment_bytes, metavar="N",
+                        type=int, default=StoreConfig.max_segment_bytes, metavar="N",
                         help="WAL segment rotation threshold in bytes "
                              "(default %(default)d)")
     parser.add_argument("--store-compact", dest="store_compact", type=float,

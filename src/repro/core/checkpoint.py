@@ -69,7 +69,7 @@ class CheckpointError(ReproError):
 
 
 class CheckpointStateMismatch(CheckpointError):
-    """The factory replay did not reconverge on the snapshotted state.
+    """The rebuilt replay did not reconverge on the snapshotted state.
 
     Almost always means the code (or an input the recipe does not
     capture) changed between snapshot and restore.

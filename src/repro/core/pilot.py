@@ -189,10 +189,6 @@ class PilotRunner:
         assemble(self)
         self.season_day = 0
         self._daily_process = None
-        self._report_cache: Optional[PilotReport] = None
-        # The season driver is the runner's own process; registering its
-        # factory makes the runner rebuildable for checkpoint restore.
-        self.sim.register_process_factory("season", self._daily_loop)
 
     # -- metrics -----------------------------------------------------------
 
@@ -272,7 +268,9 @@ class PilotRunner:
         day = self.season_day
         crop = self.config.crop
         root = crop.root_depth_at(day)
-        p = crop.stage_at(min(day, crop.season_days - 1)).depletion_fraction_p
+        stage = crop.stage_at(min(day, crop.season_days - 1))
+        self.scheduler.crop_stage = stage.name
+        p = stage.depletion_fraction_p
         for binding in self.scheduler._valve_bindings:
             binding["root_depth_m"] = root
             binding["p"] = p
@@ -299,7 +297,7 @@ class PilotRunner:
     def start_season(self) -> None:
         """Spawn the season driver process.  Idempotent."""
         if self._daily_process is None:
-            self._daily_process = self.sim.spawn_registered("season")
+            self._daily_process = self.sim.spawn(self._daily_loop(), "season")
 
     def run_season(self) -> PilotReport:
         self.start_season()

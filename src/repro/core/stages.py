@@ -14,7 +14,14 @@ holds that pin).  Each step reads what the steps before it built::
                         physics ──┘                                    │
                                       security wiring (detection, command tap)
                                                                        │
-             [service] ◄── [store] ◄── [resilience] ◄── [fault injector]
+             [service] ◄── [resilience] ◄── [fault injector] ◄── [store]
+
+The store comes before the fault injector so that a plan can aim the
+storage faults (``process_kill``, ``disk_*``, ``fsync_lost``) at it.
+It is the only optional step there: a store-backed run cannot be
+checkpointed, so where it is built changes no checkpoint's replay, while
+moving the service would change the replay of every checkpointed
+service run.
 
 The bracketed steps run only when their ``PilotConfig`` field is set.
 The config carries that choice, so a checkpoint restore, which rebuilds
@@ -268,13 +275,7 @@ def build_scheduler(runner) -> None:
     if config.scheduler_kind == "none" or config.irrigation_kind == "none":
         return
     if config.scheduler_kind == "fixed":
-        # Registered as a factory so a checkpoint rebuild can respawn
-        # it: generators don't pickle, factories replay (see
-        # repro.core.checkpoint).
-        runner.sim.register_process_factory(
-            "fixed-scheduler", runner._fixed_schedule_loop
-        )
-        runner.sim.spawn_registered("fixed-scheduler")
+        runner.sim.spawn(runner._fixed_schedule_loop(), "fixed-scheduler")
         return
     runner.scheduler = PlatformScheduler(
         runner.sim, runner.context, runner.agent,
@@ -362,6 +363,8 @@ def build_fault_injector(runner) -> None:
             addresses=[runner.fog.mqtt_address, f"{runner.fog.name}:iota",
                        f"{runner.fog.name}:sync"],
         )
+    if runner.durability is not None:
+        injector.register_store("store", runner.durability)
     for device in _fleet(runner):
         injector.register_device(device)
     injector.apply(runner.config.fault_plan)
@@ -511,9 +514,9 @@ def build_service(runner) -> None:
 
 
 def assemble(runner) -> None:
-    """Run every step in order; the fault injector, the resilience layer,
-    the store and the service are built only when the config sets
-    ``fault_plan``, ``resilience``, ``store`` and ``serve_trace``."""
+    """Run every step in order; the store, the fault injector, the
+    resilience layer and the service are built only when the config
+    sets ``store``, ``fault_plan``, ``resilience`` and ``serve_trace``."""
     runner.fault_injector = None
     runner.supervisor = None
     runner.uplink_breaker = None
@@ -528,11 +531,11 @@ def assemble(runner) -> None:
     provision_devices(runner)
     build_scheduler(runner)
     wire_security(runner)
+    if runner.config.store is not None:
+        build_store(runner)
     if runner.config.fault_plan is not None:
         build_fault_injector(runner)
     if runner.config.resilience is not None:
         build_resilience(runner)
-    if runner.config.store is not None:
-        build_store(runner)
     if runner.config.serve_trace is not None:
         build_service(runner)

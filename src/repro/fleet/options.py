@@ -5,9 +5,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.simkernel.errors import ReproError
 
-#: Pilot names accepted without importing the heavy builder module here.
-_KNOWN_PILOTS = ("cbec", "intercrop", "guaspari", "matopiba")
-
 
 class FleetError(ReproError):
     """Invalid fleet options or a shard-level failure."""
@@ -30,6 +27,10 @@ def parse_farm_specs(spec: str) -> List[FarmSpec]:
 
     Each comma-separated entry is ``pilot`` or ``pilot:count``.
     """
+    # Imported here: the builders pull in the whole pilot assembly, which
+    # importing the fleet options must not.
+    from repro.core.pilots import PILOT_BUILDERS
+
     farms: List[FarmSpec] = []
     for entry in spec.split(","):
         entry = entry.strip()
@@ -37,10 +38,10 @@ def parse_farm_specs(spec: str) -> List[FarmSpec]:
             continue
         pilot, _, count_str = entry.partition(":")
         pilot = pilot.strip()
-        if pilot not in _KNOWN_PILOTS:
+        if pilot not in PILOT_BUILDERS:
             raise FleetError(
                 f"unknown pilot {pilot!r} in farm spec; "
-                f"choose from {', '.join(_KNOWN_PILOTS)}"
+                f"choose from {', '.join(PILOT_BUILDERS)}"
             )
         count = 1
         if count_str:

@@ -158,10 +158,7 @@ class Replicator:
             "fog.backlog_depth", lambda: float(self.backlog_depth), labels
         )
         source_context.update_hooks.append(self._capture)
-        # The sync loop is registered as a factory so checkpoint rebuilds
-        # (and crash/restart) respawn it through one path.
-        sim.register_process_factory(f"replicator:{address}", self._sync_loop)
-        self._process = sim.spawn_registered(f"replicator:{address}")
+        self._process = sim.spawn(self._sync_loop(), f"replicator:{address}")
 
     @property
     def backlog_depth(self) -> int:
@@ -289,9 +286,8 @@ class Replicator:
         """
         if self._process.alive:
             return
-        self._process = self.sim.spawn_registered(
-            f"replicator:{self.node.address}"
-        )
+        self._process = self.sim.spawn(
+            self._sync_loop(), f"replicator:{self.node.address}")
         self.sim.trace.emit(
             self.sim.now, "fog", "replicator restarted",
             replicator=self.node.address, backlog=self.backlog_depth,

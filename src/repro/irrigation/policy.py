@@ -27,7 +27,8 @@ class SoilMoisturePolicy:
     Irrigate when root-zone depletion exceeds ``trigger_fraction`` of
     readily available water; refill to ``refill_fraction`` of the deficit
     (slightly under field capacity leaves room for rain).  Skip when the
-    rain forecast covers the deficit.
+    rain forecast covers the deficit.  ``stage_name``, the crop's current
+    growth stage, is for stage-aware subclasses; this policy ignores it.
     """
 
     def __init__(
@@ -53,6 +54,7 @@ class SoilMoisturePolicy:
         depletion_mm: float,
         raw_mm: float,
         forecast_rain_mm: float = 0.0,
+        stage_name: Optional[str] = None,
     ) -> IrrigationDecision:
         if raw_mm <= 0:
             return IrrigationDecision(0.0, "no-capacity")
@@ -71,8 +73,8 @@ class DeficitPolicy(SoilMoisturePolicy):
     """Regulated deficit irrigation (the Guaspari wine-quality strategy).
 
     Refills only to ``deficit_target`` of RAW during configured stages —
-    controlled stress concentrates berry flavour.  Callers pass
-    ``stage_name``; stages not listed get the full-refill behaviour.
+    controlled stress concentrates berry flavour.  Stages not listed, and
+    a ``stage_name`` of None, get the full-refill behaviour.
     """
 
     def __init__(self, deficit_stages=("veraison", "ripening"), deficit_target: float = 0.6, **kwargs):
@@ -80,14 +82,14 @@ class DeficitPolicy(SoilMoisturePolicy):
         self.deficit_stages = set(deficit_stages)
         self.deficit_target = deficit_target
 
-    def decide_staged(
+    def decide(
         self,
-        stage_name: str,
         depletion_mm: float,
         raw_mm: float,
         forecast_rain_mm: float = 0.0,
+        stage_name: Optional[str] = None,
     ) -> IrrigationDecision:
-        decision = self.decide(depletion_mm, raw_mm, forecast_rain_mm)
+        decision = super().decide(depletion_mm, raw_mm, forecast_rain_mm)
         if stage_name in self.deficit_stages and decision.irrigate:
             return IrrigationDecision(decision.depth_mm * self.deficit_target, "deficit-regulated")
         return decision

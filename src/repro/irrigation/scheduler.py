@@ -85,6 +85,9 @@ class PlatformScheduler:
         self.on_decision: List[Callable[[dict], None]] = []
         # Optional supervisor heartbeat, called once per cycle.
         self.heartbeat: Optional[Callable[[], None]] = None
+        # The crop's current growth stage, passed to the policy; the
+        # pilot's daily loop sets it with the bindings' root depth.
+        self.crop_stage: Optional[str] = None
         # Trace context of the last context attribute read (see
         # _sensed_depletion); None when tracing is off or data missing.
         self._last_reading_ctx = None
@@ -229,7 +232,8 @@ class PlatformScheduler:
         depletion = self._sensed_depletion(binding)
         if depletion is None:
             return None
-        decision = self.policy.decide(depletion, self._raw_mm(binding), forecast)
+        decision = self.policy.decide(
+            depletion, self._raw_mm(binding), forecast, self.crop_stage)
         span = tracer.start_span(
             "scheduler.decision", "scheduler", entity=binding["entity_id"],
             irrigate=decision.irrigate, reason=decision.reason,
@@ -284,7 +288,8 @@ class PlatformScheduler:
             if span is not None:
                 span.add_link(self._last_reading_ctx)
             any_data = True
-            decision = self.policy.decide(depletion, self._raw_mm(zone_binding), forecast)
+            decision = self.policy.decide(
+                depletion, self._raw_mm(zone_binding), forecast, self.crop_stage)
             self.stats.decisions += 1
             if decision.irrigate:
                 prescription[zone_binding["zone_id"]] = round(decision.depth_mm, 2)

@@ -21,14 +21,11 @@ from repro.context.errors import (
     QueryError,
 )
 from repro.faults.plan import FaultPlanError
-from repro.fleet.options import FleetError
-from repro.mqtt.broker import RoutingMismatchError
 from repro.mqtt.topics import TopicError
 from repro.resilience.backpressure import BackpressureError
 from repro.security.auth.oauth import OAuthError
 from repro.service.http import Response
-from repro.simkernel.errors import ReproError, SimulationError
-from repro.store.segment import StoreError
+from repro.simkernel.errors import ReproError
 
 __all__ = [
     "AuthenticationError",
@@ -62,14 +59,6 @@ class ServiceOverloadedError(ServiceError):
     """The tenant's admission backlog is full (→ 503)."""
 
 
-def _checkpoint_error() -> Type[Exception]:
-    # Imported lazily: repro.core pulls in the whole pilot assembly, which
-    # the service layer must not load just to build the mapping table.
-    from repro.core.checkpoint import CheckpointError
-
-    return CheckpointError
-
-
 #: status code + NGSIv2 ``error`` field per exception class.  Order is
 #: irrelevant (resolution is by MRO walk), but rows are grouped from the
 #: service layer outward for readability.
@@ -79,7 +68,6 @@ _TABLE: Dict[Type[BaseException], Tuple[int, str]] = {
     AuthorizationError: (403, "Forbidden"),
     QuotaExceededError: (429, "TooManyRequests"),
     ServiceOverloadedError: (503, "ServiceUnavailable"),
-    ServiceError: (500, "InternalServerError"),
     OAuthError: (401, "Unauthorized"),
     # Context broker (Orion statuses: 404 unknown entity, 422 duplicate
     # create, 400 malformed query).
@@ -92,38 +80,23 @@ _TABLE: Dict[Type[BaseException], Tuple[int, str]] = {
     FaultPlanError: (400, "BadRequest"),
     # Backpressure outside the tenant quota path (broker shedding load).
     BackpressureError: (503, "ServiceUnavailable"),
-    # Platform-side failures: nothing the caller can fix.
-    StoreError: (500, "InternalServerError"),
-    RoutingMismatchError: (500, "InternalServerError"),
-    SimulationError: (500, "InternalServerError"),
-    FleetError: (500, "InternalServerError"),
+    # Platform-side failures (the store, the kernel, checkpoints, ...):
+    # nothing the caller can fix.
     ReproError: (500, "InternalServerError"),
 }
 
 
 def _resolve(exc_type: Type[BaseException]) -> Tuple[int, str]:
-    table = _full_table()
     for cls in exc_type.__mro__:
-        row = table.get(cls)
+        row = _TABLE.get(cls)
         if row is not None:
             return row
     return (500, "InternalServerError")
 
 
-_cached_full_table: Dict[Type[BaseException], Tuple[int, str]] = {}
-
-
-def _full_table() -> Dict[Type[BaseException], Tuple[int, str]]:
-    if not _cached_full_table:
-        _cached_full_table.update(_TABLE)
-        _cached_full_table[_checkpoint_error()] = (500, "InternalServerError")
-    return _cached_full_table
-
-
 def has_error_mapping(exc_type: Type[BaseException]) -> bool:
     """True when ``exc_type`` (or a base of it) has a row in the table."""
-    table = _full_table()
-    return any(cls in table for cls in exc_type.__mro__)
+    return any(cls in _TABLE for cls in exc_type.__mro__)
 
 
 def status_for(exc: BaseException) -> int:

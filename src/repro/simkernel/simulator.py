@@ -51,7 +51,6 @@ class Simulator:
         self.events_executed = 0
         self.wall_time_s = 0.0
         self.fail_fast = True
-        self._process_factories: Dict[str, Callable[[], Generator]] = {}
         self.metrics.register_callback(
             "simkernel.events_executed", lambda: float(self.events_executed)
         )
@@ -116,31 +115,6 @@ class Simulator:
 
     def signal(self, name: str = "") -> Signal:
         return Signal(name)
-
-    # -- process factories --------------------------------------------------------
-
-    def register_process_factory(
-        self, name: str, factory: Callable[[], Generator]
-    ) -> None:
-        """Declare how to (re)create the named process's generator.
-
-        Factories are the restore contract for generator-based processes:
-        a live generator cannot be pickled, so a checkpoint restore
-        rebuilds the kernel by calling the registered factories again and
-        replaying deterministically (see ``repro.core.checkpoint``).
-        Registration is pure bookkeeping — it schedules nothing.
-        """
-        self._process_factories[name] = factory
-
-    def spawn_registered(self, name: str) -> Process:
-        """Spawn (or respawn) the process registered under ``name``."""
-        factory = self._process_factories.get(name)
-        if factory is None:
-            raise SimulationError(f"no process factory registered for {name!r}")
-        return self.spawn(factory(), name)
-
-    def process_factory_names(self) -> List[str]:
-        return sorted(self._process_factories)
 
     # -- run loop ---------------------------------------------------------------
 

@@ -62,7 +62,7 @@ def compare_fingerprints(
 
     Returns an empty list when they match.  Messages are written for the
     checkpoint-restore failure mode: the snapshot said the kernel should
-    look like X at the barrier, the factory replay produced Y — usually
+    look like X at the barrier, the rebuilt replay produced Y — usually
     meaning the code changed between snapshot and restore.
     """
     problems: List[str] = []

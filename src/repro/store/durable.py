@@ -33,7 +33,7 @@ recovered prefix — after which reads are exactly what an uninterrupted
 run truncated at the commit point would serve (the E20 property).
 
 Everything here is **off by default**: no pilot constructs a store
-unless its ``PilotConfig.store`` is set (``RunOptions.store_dir``, CLI
+unless its ``PilotConfig.store`` is set (``RunOptions.store``, CLI
 ``--store``) or an explicit :func:`attach_durable_history` call asks for
 one, so pinned fixtures and the E18/E19 benchmarks are untouched.
 """

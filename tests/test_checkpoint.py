@@ -26,6 +26,8 @@ from repro.simkernel.clock import DAY, HOUR
 from tests.test_pilot_pinned import FIXTURES, PINNED
 
 TINY_MATOPIBA = dict(seed=3, rows=2, cols=2, season_days=4, probe_interval_s=7200.0)
+#: The builder's own parameters of TINY_MATOPIBA, for RunOptions.pilot_kwargs.
+TINY_GRID = {k: v for k, v in TINY_MATOPIBA.items() if k != "seed"}
 
 
 def _fresh_process_restore(path) -> dict:
@@ -248,10 +250,10 @@ class TestSnapshotRestore:
 class TestRunOptionsIntegration:
     def test_checkpointed_run_report_matches_plain_run(self, tmp_path):
         plain = run(RunOptions(pilot="matopiba", seed=3,
-                               pilot_kwargs=dict(TINY_MATOPIBA)))
+                               pilot_kwargs=dict(TINY_GRID)))
         path = tmp_path / "run.ck"
         checkpointed = run(RunOptions(
-            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_MATOPIBA),
+            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_GRID),
             checkpoint=str(path),
         ))
         assert dataclasses.asdict(checkpointed.report) == dataclasses.asdict(plain.report)
@@ -262,7 +264,7 @@ class TestRunOptionsIntegration:
     def test_checkpoint_every_writes_latest_barrier(self, tmp_path):
         path = tmp_path / "run.ck"
         result = run(RunOptions(
-            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_MATOPIBA),
+            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_GRID),
             checkpoint=str(path), checkpoint_every_s=float(DAY),
         ))
         ck = cp.load_checkpoint(str(path))
@@ -274,7 +276,7 @@ class TestRunOptionsIntegration:
     def test_restore_option_resumes(self, tmp_path):
         path = tmp_path / "run.ck"
         original = run(RunOptions(
-            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_MATOPIBA),
+            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_GRID),
             checkpoint=str(path),
         ))
         resumed = run(RunOptions(restore=str(path)))
@@ -283,7 +285,7 @@ class TestRunOptionsIntegration:
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(cp.CheckpointError, match="positive"):
             run(RunOptions(
-                pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_MATOPIBA),
+                pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_GRID),
                 checkpoint=str(tmp_path / "x.ck"), checkpoint_every_s=0.0,
             ))
 
@@ -321,7 +323,7 @@ class TestCliIntegration:
 
         path = tmp_path / "run.ck"
         original = run(RunOptions(
-            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_MATOPIBA),
+            pilot="matopiba", seed=3, pilot_kwargs=dict(TINY_GRID),
             checkpoint=str(path),
         ))
         out = io.StringIO()

@@ -72,10 +72,23 @@ class TestCommands:
         # run() refuses the combination with a ValueError before building
         # anything; the CLI prints it as an error line, not a traceback.
         store = tmp_path / "wal"
-        with pytest.raises(SystemExit, match="store_dir"):
+        with pytest.raises(SystemExit, match="durable store"):
             main(["run", "matopiba", "--days", "1", "--store", str(store),
                   flag, str(tmp_path / "c.ck")], out=io.StringIO())
         assert not store.exists()
+
+    def test_restore_of_a_faulted_run_prints_its_plan(self, tmp_path):
+        # The restored run's plan comes from its checkpoint, not the flags.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"name": "cut", "events": [
+            {"kind": "link_partition", "target": "wan", "at_s": 3600.0,
+             "duration_s": 600.0}]}))
+        path = tmp_path / "run.ck"
+        assert main(["run", "matopiba", "--days", "0.5", "--faults", str(plan),
+                     "--checkpoint", str(path)], out=io.StringIO()) == 0
+        out = io.StringIO()
+        assert main(["run", "--restore", str(path)], out=out) == 0
+        assert "faults: plan 'cut', 1 injected, 1 recovered" in out.getvalue()
 
     def test_serve_trace_with_an_empty_tenant_namespace_exits_with_one_line(self, tmp_path):
         path = tmp_path / "T.json"

@@ -27,6 +27,7 @@ from repro.store import (
     RetentionConfig,
     RetentionPolicy,
     SegmentStore,
+    StoreConfig,
     StoreError,
     decode_chunk,
     encode_chunk,
@@ -713,8 +714,8 @@ class TestRunIntegration:
     def test_run_with_compaction_reports_chunks(self, tmp_path):
         result = run(RunOptions(
             pilot="matopiba", seed=3, days=0.25,
-            store_dir=str(tmp_path), store_flush_s=300.0,
-            store_segment_bytes=4096, store_compact_s=1800.0,
+            store=StoreConfig(root=str(tmp_path), flush_interval_s=300.0,
+                              max_segment_bytes=4096, compact_interval_s=1800.0),
         ))
         report = result.runner.durability.report()
         assert "compaction" in report

@@ -8,6 +8,8 @@ its four parcels (about 1.9k requests) and checks:
 * checkpoint at a barrier inside the trace window, restore in a fresh
   interpreter: the report and each subsystem's witness are unchanged;
 * a durable store is refused under checkpoint and restore;
+* storage faults aim at a config-built store and it keeps every
+  committed record;
 * a two-farm fleet gives one fingerprint in-process and on 2 workers;
 * a chaos plan composed with the service or a compacting store passes
   every invariant, and a checkpointed chaos run restores to the
@@ -34,10 +36,12 @@ from repro.faults.chaos import (
     check_storage_invariants,
     run_chaos,
 )
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fleet import FarmSpec, FleetOptions, run_fleet
 from repro.resilience import ResilienceConfig
 from repro.service.http import Request
 from repro.service.loadgen import standard_trace
+from repro.simkernel.clock import DAY, HOUR
 from repro.store import SegmentStore, StoreConfig
 from repro.telemetry.tracing import TraceConfig
 
@@ -116,9 +120,10 @@ class TestStoreUnderCheckpoint:
     @pytest.mark.parametrize("mode", ["checkpoint", "restore"])
     def test_run_refuses_before_building(self, mode, tmp_path):
         store = tmp_path / "wal"
-        with pytest.raises(ValueError, match="store_dir"):
+        with pytest.raises(ValueError, match="durable store"):
             run(RunOptions(pilot="matopiba", pilot_kwargs=dict(TINY), days=0.1,
-                           store_dir=str(store), **{mode: str(tmp_path / "c.ck")}))
+                           store=StoreConfig(root=str(store)),
+                           **{mode: str(tmp_path / "c.ck")}))
         assert not store.exists()
 
     def test_snapshot_refuses_a_store_backed_runner(self, tmp_path):
@@ -127,6 +132,27 @@ class TestStoreUnderCheckpoint:
         runner.run_until(BARRIER_S)
         with pytest.raises(cp.CheckpointError, match="durable store"):
             cp.snapshot(runner)
+
+
+def test_storage_faults_hit_a_config_built_store(tmp_path):
+    plan = FaultPlan("storage", [
+        FaultEvent("fsync_lost", "store", at_s=2 * HOUR, duration_s=3 * HOUR),
+        FaultEvent("disk_torn_write", "store", at_s=8 * HOUR, params={"fraction": 0.4}),
+        FaultEvent("process_kill", "store", at_s=DAY + 3 * HOUR,
+                   params={"surviving_tail_bytes": 11}),
+    ])
+    runner = build_matopiba_pilot(
+        seed=SEED, **dict(TINY, season_days=2), fault_plan=plan,
+        store=StoreConfig(root=str(tmp_path / "wal"), flush_interval_s=300.0))
+    runner.run_season()
+    assert runner.fault_injector.injected == 3
+    assert runner.durability.store.failed_commits > 0
+    assert runner.durability.store.faults.torn_writes == 1
+    assert runner.durability.recoveries == 1
+    audits = check_storage_invariants(runner)
+    assert {r.name for r in audits} == {"no committed record lost",
+                                        "recovery prefix-consistent"}
+    assert [r for r in audits if not r.ok] == []
 
 
 class TestFleet:

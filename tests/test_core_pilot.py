@@ -16,6 +16,7 @@ from repro.core import (
     build_intercrop_pilot,
     build_matopiba_pilot,
 )
+from repro.irrigation.policy import DeficitPolicy
 from repro.physics import LOAM, SOYBEAN
 from repro.physics.weather import BARREIRAS_MATOPIBA
 from repro.simkernel.clock import DAY
@@ -184,6 +185,19 @@ class TestSecurityIntegration:
         ))
         report = runner.run_season()
         assert report.quarantined_devices == 0
+
+
+class TestRegulatedDeficit:
+    def test_policy_sees_the_crop_stage(self):
+        # The whole short season sits in SOYBEAN's first stage, which the
+        # policy lists, so every refill is cut to the deficit target.
+        policy = DeficitPolicy(deficit_stages=(SOYBEAN.stages[0].name,),
+                               deficit_target=0.5)
+        runner = PilotRunner(small_config(season_days=4, policy=policy))
+        runner.run_season()
+        reasons = [entry["reason"] for entry in runner.scheduler.decision_log]
+        assert "deficit-regulated" in reasons
+        assert "deficit-refill" not in reasons
 
 
 class TestPilotFactories:

@@ -78,14 +78,15 @@ class TestSoilMoisturePolicy:
 class TestDeficitPolicy:
     def test_deficit_stage_reduces_depth(self):
         policy = DeficitPolicy(deficit_stages=("ripening",), deficit_target=0.5)
-        normal = policy.decide_staged("flowering", 40.0, 40.0)
-        deficit = policy.decide_staged("ripening", 40.0, 40.0)
+        normal = policy.decide(40.0, 40.0, stage_name="flowering")
+        deficit = policy.decide(40.0, 40.0, stage_name="ripening")
         assert deficit.depth_mm == pytest.approx(normal.depth_mm * 0.5)
         assert deficit.reason == "deficit-regulated"
 
     def test_non_deficit_stage_unchanged(self):
         policy = DeficitPolicy(deficit_stages=("ripening",))
-        assert policy.decide_staged("initial", 40.0, 40.0).reason == "deficit-refill"
+        assert policy.decide(40.0, 40.0, stage_name="initial").reason == "deficit-refill"
+        assert policy.decide(40.0, 40.0).reason == "deficit-refill"
 
 
 class TestBaselines:

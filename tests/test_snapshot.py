@@ -1,4 +1,4 @@
-"""Kernel snapshots: fingerprints, segmented execution, process factories.
+"""Kernel snapshots: fingerprints and segmented execution.
 
 The determinism-critical regressions pinned here:
 
@@ -98,26 +98,6 @@ class TestRunUntil:
         sim.schedule(1.0, sim.stop, ("done",))
         sim.run_until(5.0)
         assert sim.stopped_reason == "done"
-
-
-class TestProcessFactories:
-    def test_spawn_registered_requires_registration(self):
-        sim = Simulator()
-        with pytest.raises(Exception, match="no process factory"):
-            sim.spawn_registered("ghost")
-
-    def test_registered_factory_spawns_and_lists(self):
-        sim = Simulator()
-
-        def loop():
-            yield 1.0
-            record("ticked")
-
-        sim.register_process_factory("ticker", loop)
-        sim.spawn_registered("ticker")
-        assert "ticker" in sim.process_factory_names()
-        sim.run(until=2.0)
-        assert FIRED == ["ticked"]
 
 
 @pytest.mark.parametrize("pilot", sorted(PILOT_BUILDERS))

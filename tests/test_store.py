@@ -29,6 +29,7 @@ from repro.store import (
     ScanResult,
     SegmentStore,
     StorageFaults,
+    StoreConfig,
     StoreError,
     decode_sample,
     encode_record,
@@ -579,7 +580,7 @@ class TestRunIntegration:
 
         result = run(RunOptions(
             pilot="matopiba", days=0.1,
-            store_dir=str(tmp_path / "wal"), store_flush_s=30.0))
+            store=StoreConfig(root=str(tmp_path / "wal"), flush_interval_s=30.0)))
         durability = result.runner.durability
         assert durability.store.appended > 0
         assert durability.store.committed == durability.store.appended
@@ -589,9 +590,9 @@ class TestRunIntegration:
         from repro.api import RunOptions, run
 
         for extra in ({"restore": str(tmp_path / "ck")}, {"checkpoint": str(tmp_path / "ck")}):
-            with pytest.raises(ValueError, match="store_dir is not supported"):
+            with pytest.raises(ValueError, match="durable store is not supported"):
                 run(RunOptions(pilot="matopiba", days=0.1,
-                               store_dir=str(tmp_path / "wal"), **extra))
+                               store=StoreConfig(root=str(tmp_path / "wal")), **extra))
 
     def test_storage_invariants_audit_a_recovered_runner(self, tmp_path):
         from repro.api import check_storage_invariants

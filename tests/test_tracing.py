@@ -194,7 +194,7 @@ class TestTracerLifecycle:
 class TestPilotTracing:
     @pytest.fixture(scope="class")
     def traced(self):
-        return run(RunOptions(pilot="matopiba", trace=True, profile=True,
+        return run(RunOptions(pilot="matopiba", tracing=TraceConfig(), profile=True,
                               pilot_kwargs=dict(SMALL_PILOT)))
 
     def test_report_bit_identical_with_tracing_on_or_off(self, traced):
@@ -258,7 +258,7 @@ class TestPilotTracing:
 class TestSpanTreeProperty:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_invariants_hold_across_seeds(self, seed):
-        result = run(RunOptions(pilot="matopiba", seed=seed, trace=True,
+        result = run(RunOptions(pilot="matopiba", seed=seed, tracing=TraceConfig(),
                                 pilot_kwargs=dict(SMALL_PILOT)))
         tracer = result.runner.tracer
         assert validate_span_trees(tracer.spans()) == []
@@ -268,7 +268,7 @@ class TestSpanTreeProperty:
 class TestRunEntrypoint:
     def test_same_seed_same_spans(self):
         def span_shape():
-            result = run(RunOptions(pilot="matopiba", seed=4, trace=True,
+            result = run(RunOptions(pilot="matopiba", seed=4, tracing=TraceConfig(),
                                     pilot_kwargs=dict(SMALL_PILOT)))
             return [(s.name, s.kind, s.trace_id, s.parent_id, s.start, s.end)
                     for s in result.runner.tracer.spans()]
@@ -276,10 +276,10 @@ class TestRunEntrypoint:
         assert span_shape() == span_shape()
 
     def test_sampling_thins_traces_deterministically(self):
-        full = run(RunOptions(pilot="matopiba", seed=4, trace=True,
+        full = run(RunOptions(pilot="matopiba", seed=4, tracing=TraceConfig(),
                               pilot_kwargs=dict(SMALL_PILOT)))
-        sampled = run(RunOptions(pilot="matopiba", seed=4, trace=True,
-                                 trace_sample_rate=0.25,
+        sampled = run(RunOptions(pilot="matopiba", seed=4,
+                                 tracing=TraceConfig(sample_rate=0.25),
                                  pilot_kwargs=dict(SMALL_PILOT)))
         full_stats = full.runner.tracer.stats()
         sampled_stats = sampled.runner.tracer.stats()
@@ -306,7 +306,7 @@ class TestRunEntrypoint:
 
     def test_config_mode_applies_trace_override(self):
         runner = build_matopiba_pilot(**SMALL_PILOT)
-        result = run(RunOptions(config=runner.config, trace=True))
+        result = run(RunOptions(config=runner.config, tracing=TraceConfig()))
         assert result.runner.tracer.enabled
         assert len(result.runner.tracer) > 0
 
