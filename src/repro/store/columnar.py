@@ -19,8 +19,8 @@ path wherever both retain the data.  A read unpacks only the queried
 series' two columns of each chunk it opens (:func:`decode_series`, after
 the same magic, header, length and whole-file CRC checks a full decode
 runs) and takes the WAL tail from the store's in-memory per-series
-index, parsing only each record's time and value, so it touches no
-segment file and no other series' records.
+index, unpacking only each record's ``<dd`` time and value, so it
+touches no segment file and no other series' records.
 
 **Crash-safe handoff.**  A segment is deleted only after its chunk is
 sealed (tmp → fsync → rename → dir-fsync, the
@@ -65,6 +65,7 @@ from repro.context.history import (
 from repro.store.durable import (
     SegmentStore,
     decode_samples,
+    read_segment,
     sample_prefix,
     sample_tail,
 )
@@ -72,7 +73,6 @@ from repro.store.segment import (
     StoreError,
     fsync_dir,
     read_sealed,
-    scan_records,
     segments_in,
     write_sealed,
 )
@@ -289,15 +289,21 @@ def decode_series(payload: bytes, entity_id: str,
 class RetentionPolicy:
     """How long / how much columnar history one tenant may keep.
 
-    ``None`` means unbounded on that axis.  ``max_age_s`` drops chunks
-    whose newest sample is older than ``sim.now - max_age_s``;
-    ``max_bytes`` drops oldest chunks while the tenant's retained
-    columnar footprint (:data:`SAMPLE_BYTES` per sample) exceeds the
-    budget.
+    ``None`` means unbounded on that axis; a cap must be positive.
+    ``max_age_s`` drops chunks whose newest sample is older than
+    ``sim.now - max_age_s``; ``max_bytes`` drops oldest chunks while the
+    tenant's retained columnar footprint (:data:`SAMPLE_BYTES` per
+    sample) exceeds the budget.
     """
 
     max_age_s: Optional[float] = None
     max_bytes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_age_s", "max_bytes"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise StoreError(f"{name} must be positive, got {value}")
 
     @property
     def bounded(self) -> bool:
@@ -499,9 +505,7 @@ def reconcile(columnar: ColumnarStore, store: SegmentStore) -> bool:
     for index, path in segments_in(store.root):
         if index >= columnar.next_segment:
             continue
-        with open(path, "rb") as fh:
-            result = scan_records(fh.read())
-        store.drop_segment(index, len(result.payloads))
+        store.drop_segment(index, len(read_segment(path).payloads))
         changed = True
     if changed:
         columnar.write_meta()
@@ -588,9 +592,7 @@ class CompactionService:
         """
         moved = 0
         for index, path in self.store.sealed_segments():
-            with open(path, "rb") as fh:
-                data = fh.read()
-            result = scan_records(data)
+            result = read_segment(path)
             if result.torn:
                 raise StoreError(
                     f"sealed segment {path!r} is torn; the rotation barrier "
@@ -736,7 +738,7 @@ class ColumnarReader:
     resident records are the fresh tail, served from the store's
     in-memory per-series index (:meth:`SegmentStore.resident_series`),
     so only the queried series' records are touched, and of each only
-    the time and value are parsed.  Reads stream chunk-by-chunk in
+    the packed time and value are unpacked.  Reads stream chunk-by-chunk in
     append order, unpacking only the queried series' two columns of
     each chunk — memory stays bounded by the answer, one series'
     columns and references to the resident WAL payloads — and the zone

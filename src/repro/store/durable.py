@@ -10,12 +10,17 @@ one opens), so only the *last* segment can ever hold a torn tail.
 order, verify every checksum, truncate the first bad frame and
 everything after it, and hand back the surviving record prefix.
 
+A sample record's payload is its series key, the compact JSON
+``["entity","attr",`` (:func:`sample_prefix`), then its time and value
+as ``<dd``; the segment magic ``SWS2`` names that format, and a segment
+of the older JSON-sample format ``SWS1`` is refused, never read.
+
 The store also keeps every resident record's payload in memory, per
 segment, both in append order (:meth:`~SegmentStore.resident`) and
 grouped by series (:meth:`~SegmentStore.resident_series`), so reads of
 the fresh WAL tail never touch the files and touch only the queried
 series: the WAL is read only at open, by :meth:`~SegmentStore.recover`
-and by compaction, and the last two fail loudly on a damaged sealed
+and by compaction, and all three fail loudly on a damaged sealed
 segment.  :meth:`~SegmentStore.read_all` stays the on-disk view that
 tests and audits compare the memory copy against.  A torn tail found at
 open is truncated before the first append, so new records never land
@@ -40,6 +45,7 @@ one, so pinned fixtures and the E18/E19 benchmarks are untouched.
 
 import json
 import os
+import struct
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -53,6 +59,7 @@ from repro.store.backend import (
     TornWriteError,
 )
 from repro.store.segment import (
+    LEGACY_SEGMENT_MAGIC,
     SEGMENT_MAGIC,
     ScanResult,
     StoreError,
@@ -77,15 +84,19 @@ SampleRecord = Tuple[str, str, float, float]
 # One shared encoder: json.dumps with non-default separators builds a
 # fresh JSONEncoder on every call.  Output is byte-identical.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+#: A sample payload's tail: its time and value, little-endian float64.
+_TAIL = struct.Struct("<dd")
 
 
 def encode_sample(entity_id: str, attr: str, t: float, v: float) -> bytes:
-    """Canonical sample payload: compact JSON array, byte-stable."""
-    return _encode([entity_id, attr, t, v]).encode("utf-8")
+    """Canonical sample payload: the series' :func:`sample_prefix`, then
+    ``t`` and ``v`` packed as ``<dd`` (the very bits, NaN and -0.0 too)."""
+    return sample_prefix(entity_id, attr) + _TAIL.pack(t, v)
 
 
 def sample_prefix(entity_id: str, attr: str) -> bytes:
-    """The bytes every :func:`encode_sample` payload of one series starts with.
+    """The bytes every :func:`encode_sample` payload of one series starts
+    with: the compact JSON array ``["entity","attr",`` (ASCII).
 
     JSON string literals are prefix-free, so a payload starts with this
     prefix exactly when it decodes to ``(entity_id, attr, ...)``.
@@ -94,34 +105,31 @@ def sample_prefix(entity_id: str, attr: str) -> bytes:
 
 
 def sample_series(payload: bytes) -> bytes:
-    """The :func:`sample_prefix` a sample payload starts with.
-
-    JSON numbers hold no comma, so the prefix ends at the payload's
-    second comma from the right.
-    """
-    return payload[:payload.rfind(b",", 0, payload.rfind(b",")) + 1]
+    """The :func:`sample_prefix` a sample payload starts with: all but
+    its 16-byte tail."""
+    return payload[:-_TAIL.size]
 
 
-def sample_tail(payload: bytes, start: int) -> Tuple[float, float]:
-    """``(t, v)`` of a sample payload whose series prefix is ``start``
-    bytes long, parsed from the ``t,v]`` tail alone.
+#: ``sample_tail(payload, start)``: the ``(t, v)`` of a sample payload
+#: whose series prefix is ``start`` bytes long.
+sample_tail = _TAIL.unpack_from
 
-    ``float()`` on each number gives the bits ``json.loads`` does.
-    """
-    t, v = payload[start:-1].split(b",")
-    return float(t), float(v)
+
+def _series_head(prefix: bytes) -> Tuple[str, str]:
+    """``(entity_id, attr)`` of a :func:`sample_prefix`."""
+    return tuple(json.loads(prefix[:-1] + b"]"))
 
 
 def decode_sample(payload: bytes) -> SampleRecord:
-    entity_id, attr, t, v = json.loads(payload.decode("utf-8"))
-    return (entity_id, attr, float(t), float(v))
+    prefix = sample_series(payload)
+    return _series_head(prefix) + sample_tail(payload, len(prefix))
 
 
 def decode_samples(payloads: List[bytes]) -> List[SampleRecord]:
     """:func:`decode_sample` of every payload, in order.
 
     The entity and attribute are decoded once per series; of each
-    record only the :func:`sample_tail` is parsed.
+    record only the :func:`sample_tail` is unpacked.
     """
     heads: Dict[bytes, Tuple[str, str]] = {}
     samples: List[SampleRecord] = []
@@ -129,7 +137,7 @@ def decode_samples(payloads: List[bytes]) -> List[SampleRecord]:
         prefix = sample_series(payload)
         head = heads.get(prefix)
         if head is None:
-            head = heads[prefix] = tuple(json.loads(prefix[:-1] + b"]"))
+            head = heads[prefix] = _series_head(prefix)
         samples.append(head + sample_tail(payload, len(prefix)))
     return samples
 
@@ -147,6 +155,33 @@ def _is_torn(result: ScanResult) -> bool:
     appended to it: bytes past its verified end failed the scan, or not
     even its magic landed (an empty file included)."""
     return result.torn or result.clean_end < len(SEGMENT_MAGIC)
+
+
+def read_segment(path: str, sealed: bool = False) -> ScanResult:
+    """Read and scan one segment file, refusing what must not be read.
+
+    Raises :class:`StoreError` for a segment in the older ``SWS1``
+    format, whose samples this version does not decode (scanned, it
+    would pass for an empty torn segment, and the first append would
+    truncate it), and for a ``sealed`` segment that is torn: only the
+    last segment can hold a crash's torn tail, so damage anywhere else
+    is silent corruption.  Changes no byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(LEGACY_SEGMENT_MAGIC):
+        raise StoreError(
+            f"segment {path!r} has the store format "
+            f"{LEGACY_SEGMENT_MAGIC.decode()}; this version reads only "
+            f"{SEGMENT_MAGIC.decode()} segments and leaves it unchanged"
+        )
+    result = scan_records(data)
+    if sealed and _is_torn(result):
+        raise StoreError(
+            f"segment {path!r} is corrupt mid-log (not the tail segment); "
+            "refusing to read past silent damage"
+        )
+    return result
 
 
 def _truncate_segment(path: str, end: int) -> None:
@@ -207,16 +242,15 @@ class SegmentStore:
         #: Verified end of the active segment when the open scan found a
         #: torn tail there; the first append truncates to it.
         self._torn_end: Optional[int] = None
-        self._open_tail()
         #: Records resident in the WAL (a reused directory archives
         #: across runs, so opening scans what is already there; records
         #: a compaction drains away are subtracted by ``drop_segment``).
         self.appended = 0
         #: Resident records covered by a successful barrier.
         self.committed = 0
-        self._resident: Optional[Dict[int, List[bytes]]] = {}
-        self._series: Optional[Dict[int, Dict[bytes, List[bytes]]]] = {}
-        self._adopt_resident()
+        self._resident: Optional[Dict[int, List[bytes]]] = None
+        self._series: Optional[Dict[int, Dict[bytes, List[bytes]]]] = None
+        self._load()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -233,27 +267,34 @@ class SegmentStore:
             )
             fsync_dir(self._active.path)
 
-    def _adopt_resident(self) -> None:
-        """Load and count the records already on disk (reused directory).
+    def _load(self) -> None:
+        """Scan every segment into memory and open the last for append.
 
-        Everything that survived to this open is treated as committed —
-        the same stance :meth:`recover` takes — so sequence accounting
-        is correct from the first append even without a recovery pass.
-        A torn tail in the active segment is noted, not cut: the first
-        :meth:`append` truncates it.
+        The open scan, and :meth:`recover`'s.  Everything that survived
+        is treated as committed, so sequence accounting is correct from
+        the first append.  A torn tail in the last segment is noted in
+        ``_torn_end``, not cut; an ``SWS1`` segment or a torn earlier one
+        raises (:func:`read_segment`) before any byte changes.
         """
-        for index, path in segments_in(self.root):
-            with open(path, "rb") as fh:
-                result = scan_records(fh.read())
-            self._resident[index] = result.payloads
-            self._series[index] = _index_series(result.payloads)
-            self.appended += len(result.payloads)
-            self.committed += len(result.payloads)
-            if index == self._active_index and _is_torn(result):
+        ordered = segments_in(self.root)
+        resident: Dict[int, List[bytes]] = {}
+        self._torn_end = None
+        for position, (index, path) in enumerate(ordered):
+            last = position == len(ordered) - 1
+            result = read_segment(path, sealed=not last)
+            resident[index] = result.payloads
+            if last and _is_torn(result):
                 self._torn_end = result.clean_end
+        self._open_tail()
+        # An empty directory opens with a fresh segment 0.
+        resident.setdefault(self._active_index, [])
+        self._resident = resident
+        self._series = {index: _index_series(records)
+                        for index, records in resident.items()}
+        self.appended = self.committed = sum(map(len, resident.values()))
 
     def _truncate_torn_tail(self) -> None:
-        """Cut the torn tail the open scan found, before the first append."""
+        """Cut the torn tail the scan found, before the next append."""
         path = self._active.path
         self._active.close()
         _truncate_segment(path, self._torn_end)
@@ -372,35 +413,11 @@ class SegmentStore:
         non-final segment): that is silent-data-loss territory, not a
         crash artifact, and must fail loudly.
         """
-        ordered = segments_in(self.root)
-        payloads: List[bytes] = []
-        resident: Dict[int, List[bytes]] = {}
-        for position, (index, path) in enumerate(ordered):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            result = scan_records(data)
-            is_last = position == len(ordered) - 1
-            if _is_torn(result):
-                if not is_last:
-                    raise StoreError(
-                        f"segment {path!r} is corrupt mid-log (not the tail "
-                        "segment); refusing to recover past silent damage"
-                    )
-                _truncate_segment(path, result.clean_end)
-                self.torn_tails_truncated += 1
-            resident[index] = result.payloads
-            payloads.extend(result.payloads)
-        self.appended = len(payloads)
-        self.committed = len(payloads)
+        self._load()
+        if self._torn_end is not None:
+            self._truncate_torn_tail()
         self.recoveries += 1
-        self._torn_end = None
-        self._open_tail()
-        # An empty directory reopens with a fresh segment 0.
-        resident.setdefault(self._active_index, [])
-        self._resident = resident
-        self._series = {index: _index_series(records)
-                        for index, records in resident.items()}
-        return payloads
+        return list(self.resident())
 
     def resident(self) -> Iterator[bytes]:
         """Every resident record's payload in append order, from memory.
@@ -437,9 +454,7 @@ class SegmentStore:
         if self._active is not None:
             self._active._fh.flush()
         for _index, path in segments_in(self.root):
-            with open(path, "rb") as fh:
-                result = scan_records(fh.read())
-            payloads.extend(result.payloads)
+            payloads.extend(read_segment(path).payloads)
         return payloads
 
     # -- compaction handoff --------------------------------------------------
@@ -556,6 +571,8 @@ class DurabilityService:
         self.coalesced_flushes = 0
         self._last_flush_t = None
         self._pump = None
+        #: ``(entity_id, attr)`` -> :func:`sample_prefix`, one per series.
+        self._prefixes: Dict[Tuple[str, str], bytes] = {}
         history.set_sink(self)
         metrics = sim.metrics
         metrics.register_counter("store.appended", lambda: self.samples_appended)
@@ -570,8 +587,15 @@ class DurabilityService:
 
     # -- write-through ------------------------------------------------------
 
+    def _encode(self, entity_id: str, attr: str, t: float, v: float) -> bytes:
+        """:func:`encode_sample`, building each series' prefix once."""
+        prefix = self._prefixes.get((entity_id, attr))
+        if prefix is None:
+            prefix = self._prefixes[entity_id, attr] = sample_prefix(entity_id, attr)
+        return prefix + _TAIL.pack(t, v)
+
     def on_sample(self, entity_id: str, attr: str, t: float, v: float) -> None:
-        payload = encode_sample(entity_id, attr, t, v)
+        payload = self._encode(entity_id, attr, t, v)
         self.store.append(payload)
         self.samples_appended += 1
         self.run_appended += 1
@@ -666,9 +690,7 @@ class DurabilityService:
             next_segment = self.compaction.columnar.next_segment
             for index, path in self.store.sealed_segments():
                 if index < next_segment:
-                    with open(path, "rb") as fh:
-                        committed_before -= len(
-                            scan_records(fh.read()).payloads)
+                    committed_before -= len(read_segment(path).payloads)
         started = time.perf_counter()
         self.store.crash(surviving_tail_bytes)
         if self.compaction is not None:
@@ -711,7 +733,7 @@ class DurabilityService:
                         kept = []
                 last = seq
                 if payload is None:
-                    payload = encode_sample(*sample)
+                    payload = self._encode(*sample)
                 if kept is not None:
                     kept.append(payload)
                     continue

@@ -30,6 +30,7 @@ from repro.simkernel.errors import ReproError
 
 __all__ = [
     "CorruptBlobError",
+    "LEGACY_SEGMENT_MAGIC",
     "RECORD_HEADER",
     "SEGMENT_MAGIC",
     "SEALED_MAGIC",
@@ -44,8 +45,10 @@ __all__ = [
     "write_sealed",
 ]
 
-#: First 4 bytes of every segment file.
-SEGMENT_MAGIC = b"SWS1"
+#: First 4 bytes of every segment file: the segment format version.
+SEGMENT_MAGIC = b"SWS2"
+#: The previous segment format (JSON sample payloads), refused at open.
+LEGACY_SEGMENT_MAGIC = b"SWS1"
 #: First 4 bytes of a sealed single-blob file (checkpoints).
 SEALED_MAGIC = b"SWB1"
 #: Per-record frame header: payload length, CRC32 of the payload.

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main, parse_security_spec
+from repro.store import encode_record
 
 
 class TestParser:
@@ -59,13 +60,27 @@ class TestCommands:
         assert "guaspari" in out.getvalue()
 
     @pytest.mark.parametrize("command", ["run", "serve"])
-    @pytest.mark.parametrize("flag", ["--store-flush", "--store-segment-bytes"])
+    @pytest.mark.parametrize("flag", ["--store-flush", "--store-segment-bytes",
+                                      "--store-retention-age", "--store-retention-bytes"])
     def test_zero_store_flag_exits_with_the_library_message(self, tmp_path, command, flag):
         # A zero reaches the store as given (no silent swap for the
         # default), which refuses it; the CLI prints that as an error line.
         with pytest.raises(SystemExit, match="must be positive"):
             main([command, "matopiba", "--days", "0.1",
                   "--store", str(tmp_path / "wal"), flag, "0"], out=io.StringIO())
+
+    def test_run_refuses_an_sws1_store_with_one_line(self, tmp_path):
+        # A directory the previous segment format wrote: JSON samples.
+        store = tmp_path / "old"
+        store.mkdir()
+        segment = store / "seg-00000000.log"
+        segment.write_bytes(b"SWS1" + encode_record(b'["urn:x","a",60.0,0.25]'))
+        before = segment.read_bytes()
+        with pytest.raises(SystemExit, match="SWS1"):
+            main(["run", "matopiba", "--days", "0.1", "--store", str(store)],
+                 out=io.StringIO())
+        assert [p.name for p in store.iterdir()] == [segment.name]
+        assert segment.read_bytes() == before
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--restore"])
     def test_store_with_checkpoint_or_restore_exits_with_one_line(self, tmp_path, flag):

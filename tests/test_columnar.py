@@ -271,6 +271,12 @@ class TestZoneMapPruning:
 
 
 class TestRetention:
+    @pytest.mark.parametrize("caps", [dict(max_age_s=-5), dict(max_age_s=0.0),
+                                      dict(max_bytes=0), dict(max_bytes=-1)])
+    def test_a_cap_must_be_positive(self, caps):
+        with pytest.raises(StoreError, match="must be positive, got"):
+            RetentionPolicy(**caps)
+
     def test_age_policy_drops_old_chunks(self, tmp_path):
         retention = RetentionConfig(
             default=RetentionPolicy(max_age_s=400.0))

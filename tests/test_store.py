@@ -26,6 +26,7 @@ from repro.store import (
     CompactionKilled,
     CorruptBlobError,
     DurabilityService,
+    SEGMENT_MAGIC,
     ScanResult,
     SegmentStore,
     StorageFaults,
@@ -45,7 +46,7 @@ from repro.store.durable import (
     sample_series,
     sample_tail,
 )
-from repro.store.segment import segments_in
+from repro.store.segment import RECORD_HEADER, segments_in
 
 EID = "urn:AgriParcel:demo:0-0"
 EID2 = "urn:AgriParcel:demo:0-1"
@@ -69,6 +70,11 @@ def payloads_for(n, start=0):
     return [encode_sample(EID, ATTR, 10.0 * i, 0.1 * i) for i in range(start, n)]
 
 
+def files_in(root):
+    """Every file under ``root`` by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
 class TestFraming:
     def test_sample_codec_round_trips(self):
         payload = encode_sample(EID, ATTR, 12.5, 0.375)
@@ -78,12 +84,14 @@ class TestFraming:
     @given(AWKWARD_TEXT, AWKWARD_TEXT, AWKWARD_NUMBER, AWKWARD_NUMBER)
     def test_tail_parse_equals_full_decode(self, entity_id, attr, t, v):
         payload = encode_sample(entity_id, attr, t, v)
-        assert payload == json.dumps(
-            [entity_id, attr, t, v], separators=(",", ":")).encode("utf-8")
+        bits = struct.Struct("<dd").pack
         prefix = sample_prefix(entity_id, attr)
+        assert prefix == json.dumps(
+            [entity_id, attr], separators=(",", ":"))[:-1].encode("ascii") + b","
+        assert payload == prefix + bits(t, v)
         assert sample_series(payload) == prefix
         reference = decode_sample(payload)
-        bits = struct.Struct("<dd").pack
+        assert bits(*reference[2:]) == bits(float(t), float(v))
         assert bits(*sample_tail(payload, len(prefix))) == bits(*reference[2:])
         (decoded,) = decode_samples([payload])
         assert decoded[:2] == reference[:2] == (entity_id, attr)
@@ -100,13 +108,13 @@ class TestFraming:
 
     def test_scan_recovers_every_frame(self):
         data = b"".join(encode_record(p) for p in payloads_for(5))
-        result = scan_records(b"SWS1" + data)
+        result = scan_records(SEGMENT_MAGIC + data)
         assert result.payloads == payloads_for(5)
         assert not result.torn
 
     def test_scan_truncates_at_first_bad_checksum(self):
         frames = [encode_record(p) for p in payloads_for(3)]
-        blob = bytearray(b"SWS1" + b"".join(frames))
+        blob = bytearray(SEGMENT_MAGIC + b"".join(frames))
         # Flip one payload byte inside the second frame.
         offset = 4 + len(frames[0]) + 8 + 2
         blob[offset] ^= 0xFF
@@ -116,7 +124,7 @@ class TestFraming:
         assert result.clean_end == 4 + len(frames[0])
 
     def test_scan_tolerates_partial_tail_and_garbage(self):
-        whole = b"SWS1" + encode_record(b"x")
+        whole = SEGMENT_MAGIC + encode_record(b"x")
         for cut in range(len(whole) - 1, 4, -1):
             result = scan_records(whole[:cut])
             assert result.payloads == [] and result.torn
@@ -179,16 +187,14 @@ class TestSegmentStore:
         blob = bytearray(first.read_bytes())
         blob[-2] ^= 0xFF
         first.write_bytes(bytes(blob))
-        reopened = SegmentStore(str(tmp_path), max_segment_bytes=120)
-        # The damage is in a sealed segment: appends leave the last one whole.
-        last = sorted(tmp_path.glob("seg-*.log"))[-1]
-        kept = scan_records(last.read_bytes()).payloads
-        reopened.append(b"after")
-        assert reopened.commit()
-        assert scan_records(last.read_bytes()) == ScanResult(
-            kept + [b"after"], last.stat().st_size, torn=False)
+        before = files_in(tmp_path)
+        # The damage is in a sealed segment: opening refuses it as
+        # recovery does, and neither changes a byte.
         with pytest.raises(StoreError, match="corrupt mid-log"):
-            reopened.recover()
+            SegmentStore(str(tmp_path), max_segment_bytes=120)
+        with pytest.raises(StoreError, match="corrupt mid-log"):
+            store.recover()
+        assert files_in(tmp_path) == before
 
     def test_torn_write_is_repaired_in_place(self, tmp_path):
         faults = StorageFaults()
@@ -519,6 +525,59 @@ class TestTornReopen:
             assert SegmentStore(str(root)).recover() == oracle.read_all() == survivors
         # Reopens found torn tails and cut them before appending.
         assert truncated
+
+
+class TestRefusedAtOpen:
+    """What no scan may read past is refused before any byte changes."""
+
+    def test_an_sws1_store_is_refused_and_left_unchanged(self, tmp_path):
+        sim = Simulator(seed=3)
+        broker = ContextBroker(sim)
+        broker.create_entity(EID, "AgriParcel")
+        store = SegmentStore(str(tmp_path), max_segment_bytes=400)
+        service = DurabilityService(sim, ShortTermHistory(broker), store,
+                                    flush_interval_s=1e9)
+        compaction = service.enable_compaction(interval_s=1e9)
+        for i in range(40):
+            sim.run_until(sim.now + 10.0)
+            broker.update_attributes(EID, {ATTR: 0.01 * i})
+        assert store.commit() and store.sealed_segments()
+        # The directory as the previous segment format left it.
+        for _index, path in segments_in(str(tmp_path)):
+            with open(path, "r+b") as fh:
+                fh.write(b"SWS1")
+        before = files_in(tmp_path)
+        for attempt in (lambda: SegmentStore(str(tmp_path)),
+                        lambda: open_columnar_reader(str(tmp_path)),
+                        compaction.compact_once,
+                        store.recover):
+            with pytest.raises(StoreError, match="SWS1.*SWS2"):
+                attempt()
+            assert files_in(tmp_path) == before
+        store.close()
+        assert files_in(tmp_path) == before
+
+    def test_mid_log_damage_is_refused_at_open_and_by_the_reader(self, tmp_path):
+        store = SegmentStore(str(tmp_path), max_segment_bytes=2000)
+        for p in payloads_for(60):
+            store.append(p)
+        store.close()
+        segments = segments_in(str(tmp_path))
+        assert len(segments) > 1
+        first = segments[0][1]
+        # Flip one payload byte of the third record of sealed segment 0.
+        frame = len(encode_record(payloads_for(1)[0]))
+        with open(first, "r+b") as fh:
+            fh.seek(len(SEGMENT_MAGIC) + 2 * frame + RECORD_HEADER.size + 3)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        before = files_in(tmp_path)
+        with pytest.raises(StoreError, match="corrupt mid-log"):
+            SegmentStore(str(tmp_path))
+        with pytest.raises(StoreError, match="corrupt mid-log"):
+            open_columnar_reader(str(tmp_path))
+        assert files_in(tmp_path) == before
 
 
 class TestFaultPlanIntegration:
