@@ -24,7 +24,8 @@ The benchmark also pins the two headline claims:
    stays bounded by the cycle interval and its journal reconciles to the
    cloud, while the naive arm simply stops deciding for the whole outage.
 
-Run standalone (CI smoke, 3 seeds):
+Run standalone (CI smoke, seeds 0-3, one ``fingerprint`` line per seed,
+which CI compares with ``tests/digests_pinned.json``):
 
     python benchmarks/bench_chaos_soak.py --smoke
 
@@ -51,7 +52,7 @@ from repro.faults.chaos import (
 from repro.simkernel.clock import DAY
 
 SOAK_SEEDS = 50
-SMOKE_SEEDS = 3
+SMOKE_SEEDS = 4
 SEASON_DAYS = 6
 
 HEADERS = ("seed", "events", "anchor", "restarts", "breaker opens",
@@ -191,6 +192,8 @@ def main() -> int:
     print(" | ".join(str(h) for h in HEADERS))
     for row in rows:
         print(" | ".join(str(v) for v in row))
+    for result in results:
+        print(f"seed {result.seed} fingerprint {result.fingerprint}")
     failed = [r for r in results if not r.ok]
     for result in failed:
         for failure in result.failures():

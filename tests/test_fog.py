@@ -1,5 +1,8 @@
 """Tests for fog/cloud nodes and store-and-forward replication."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.context import ContextBroker, HistoryQuery
@@ -7,6 +10,7 @@ from repro.fog import CloudNode, FogNode, Replicator
 from repro.fog.replication import CloudSyncTarget
 from repro.network import Network, RadioModel, WAN_BACKHAUL
 from repro.simkernel import Simulator
+from repro.simkernel.clock import DAY, HOUR
 
 
 def wan():
@@ -300,3 +304,62 @@ class TestNodes:
         # History captured on the fog tier.
         assert len(fog.history.read(
             HistoryQuery("urn:soil:p1", "soilMoisture")).rows) >= 3
+
+
+def _record_transmissions(replicator, sim):
+    """Log ``(sim time, seq, update count)`` for every SyncBatch sent."""
+    log = []
+    transmit = replicator._transmit
+
+    def recording(batch):
+        log.append((sim.now, batch.seq, len(batch.updates)))
+        transmit(batch)
+
+    replicator._transmit = recording
+    return log
+
+
+def _log_digest(log):
+    return hashlib.sha256(json.dumps(log).encode("utf-8")).hexdigest()
+
+
+class TestSyncTransmissionLog:
+    """Pinned send logs: when each batch went out, which one, how full.
+
+    ``PilotReport`` carries no sync counts, so a pump that sends a batch
+    one tick late, or merges two batches, leaves every report digest
+    equal.  These pins see it.
+    """
+
+    def test_secured_matopiba_season(self):
+        from repro.core.pilots import build_matopiba_pilot
+        from repro.core.security_profile import SecurityConfig
+
+        runner = build_matopiba_pilot(
+            seed=42, security=SecurityConfig(auth=True, encryption=True))
+        log = _record_transmissions(runner.replicator, runner.sim)
+        runner.run_until(10 * DAY)
+        assert len(log) == 874
+        assert _log_digest(log) == (
+            "e099e16eecc62a730b734c273332735bd0aabe26be85dc9fcbcbbeda48b46315"
+        )
+
+    def test_fog_pilot_through_a_wan_partition(self):
+        from repro.core.pilot import PilotConfig, PilotRunner
+        from repro.faults import FaultPlan
+        from tests.test_pilot_pinned import BASE
+
+        plan = FaultPlan("wan-outage").add(
+            "link_partition", "wan", at_s=1 * DAY, duration_s=6 * HOUR)
+        runner = PilotRunner(PilotConfig(**dict(BASE, season_days=3), fault_plan=plan))
+        log = _record_transmissions(runner.replicator, runner.sim)
+        runner.run_season()
+        seqs = [seq for _, seq, _ in log]
+        # The outage forced retransmissions, and the healed link drained
+        # the backlog.
+        assert len(seqs) > len(set(seqs))
+        assert runner.replicator.backlog_depth == 0
+        assert len(log) == 580
+        assert _log_digest(log) == (
+            "cfb1b24b91cca705a497bf1c0bd944a1303fe685b11a6b8764bdb6cf851bbc5c"
+        )

@@ -289,6 +289,47 @@ class TestKeepaliveAndWill:
         sim.run(until=60.0)
         assert got == []
 
+    def test_silent_clients_expire_on_the_pinned_tick_in_session_order(self):
+        """Two clients fall silent and lapse inside one 10 s sweep window.
+
+        ``slow`` (keepalive 20 s, last heard at ~1.0 s) lapses at ~31.0 s
+        and ``fast`` (keepalive 10 s, last ping at ~16.5 s) at ~31.5 s,
+        so both expire on the 40 s tick.  Their wills go out in session
+        order (``fast`` connected first), not in deadline order.  The
+        watcher's 60 s keepalive is the first deadline the broker learns.
+        """
+        sim = Simulator(seed=1)
+        net = Network(sim)
+        broker = MqttBroker(sim, "broker")
+        net.add_node(broker)
+
+        def client(client_id, keepalive_s):
+            c = MqttClient(sim, client_id, "broker", keepalive_s=keepalive_s)
+            net.add_node(c)
+            net.connect(client_id, "broker", lossless())
+            return c
+
+        watcher, fast, slow = client("watcher", 60.0), client("fast", 10.0), client("slow", 20.0)
+        fast.will = ("status/fast", b"offline", 0, False)
+        slow.will = ("status/slow", b"offline", 0, False)
+        wills = []
+        watcher.connect()
+        sim.run(until=0.5)
+        watcher.subscribe("status/#", handler=lambda t, p, q, r: wills.append(t))
+        fast.connect()
+        sim.run(until=1.0)
+        slow.connect()
+        sim.run(until=2.0)
+        net.partition("slow", "broker")
+        sim.run(until=17.0)
+        net.partition("fast", "broker")
+        sim.run(until=120.0)
+        expired = [(r.time, r.data["client"]) for r in sim.trace.select("mqtt")
+                   if r.message == "session expired"]
+        assert expired == [(40.0, "fast"), (40.0, "slow")]
+        assert wills == ["status/fast", "status/slow"]
+        assert list(broker.sessions) == ["watcher"]
+
     def test_pings_keep_session_alive(self):
         sim = Simulator(seed=1)
         net, broker, (c,) = build(sim, 1, keepalive_s=5.0)
