@@ -390,20 +390,14 @@ def build_resilience(runner) -> None:
     )
     runner.supervisor = supervisor
 
-    # MQTT broker: the sweeper doubles as a liveness heartbeat, and a
-    # wedged sweeper is restartable by re-arming it.
+    # MQTT broker: a session that can lapse needs a queued sweep, or its
+    # will is never published; a lost sweep is restarted by re-arming it.
     broker = runner.fog.mqtt if runner.fog is not None else runner.cloud.mqtt
     if broker is not None:
-        stale_after = 3.0 * broker._sweep_interval_s
-
-        def rearm_sweeper(b=broker):
-            b._sweeping = False
-            b._start_sweeper()
-
         supervisor.watch(
             "mqtt.broker",
-            probe=lambda now, b=broker, s=stale_after: now - b.last_sweep_at <= s,
-            restart=rearm_sweeper,
+            probe=lambda now, b=broker: b.sweep_armed(),
+            restart=broker.arm_sweep,
         )
 
     # Context broker: heartbeat fed by the update hot path — a healthy
@@ -454,8 +448,7 @@ def build_resilience(runner) -> None:
             "fog.node",
             probe=lambda now, r=runner, reachable=fog_reachable: (
                 (r.replicator is None or r.replicator.running)
-                and now - r.fog.mqtt.last_sweep_at
-                <= 3.0 * r.fog.mqtt._sweep_interval_s
+                and r.fog.mqtt.sweep_armed()
                 and reachable(now)
             ),
         )

@@ -158,7 +158,15 @@ class Replicator:
             "fog.backlog_depth", lambda: float(self.backlog_depth), labels
         )
         source_context.update_hooks.append(self._capture)
-        self._process = sim.spawn(self._sync_loop(), f"replicator:{address}")
+        # The pump ticks on a grid: the anchor (start or last restart) plus
+        # whole sync intervals, each point the float sum of the one before
+        # and the interval.  It sleeps, with no tick queued, while the
+        # backlog is empty and nothing is in flight; a capture wakes it.
+        self.running = True
+        self._tick_label = f"proc:replicator:{address}"
+        self._tick_event = None
+        # The last tick, or the anchor when none has run since it.
+        self._last_tick_at = sim.now
 
     @property
     def backlog_depth(self) -> int:
@@ -184,13 +192,33 @@ class Replicator:
             self._backlog.popleft()
             self.updates_dropped_overflow += 1
         self._backlog.append(update)
+        if self._tick_event is None and self.running:
+            self._wake()
 
     # -- sync loop -----------------------------------------------------------
 
-    def _sync_loop(self):
-        while True:
-            yield self.sync_interval_s
-            self._pump()
+    def _wake(self) -> None:
+        """Queue the tick at the first grid point past the last tick (or
+        the anchor) that is at or after now.
+
+        A capture at exactly a grid point wakes the pump at that point: a
+        pump that never slept queued its tick there one interval earlier,
+        so the tick ran after any event at that instant queued before
+        then (the daily 06:00 cycle is queued a day ahead), and its batch
+        carried the capture.  The anchor itself is not such a point.
+        """
+        at = self._last_tick_at + self.sync_interval_s
+        now = self.sim.clock.now
+        while at < now:
+            at += self.sync_interval_s
+        self._tick_event = self.sim.schedule_at(at, self._tick, label=self._tick_label)
+
+    def _tick(self) -> None:
+        self._tick_event = None
+        self._last_tick_at = self.sim.clock.now
+        self._pump()
+        if self._backlog or self._in_flight is not None:
+            self._wake()
 
     def _pump(self) -> None:
         now = self.sim.clock.now
@@ -258,10 +286,6 @@ class Replicator:
 
     # -- fault injection -----------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._process.alive
-
     def crash(self) -> None:
         """Kill the sync loop, keeping durable state.
 
@@ -270,8 +294,10 @@ class Replicator:
         of the fog tier's disconnection tolerance (E9).  Only the daemon
         process dies; captures keep accumulating via the context hook.
         """
-        if self._process.alive:
-            self._process.kill("fault:crash")
+        self.running = False
+        if self._tick_event is not None:
+            self._tick_event.cancel()
+            self._tick_event = None
         self.sim.trace.emit(
             self.sim.now, "fog", "replicator crashed",
             replicator=self.node.address, backlog=self.backlog_depth,
@@ -280,14 +306,17 @@ class Replicator:
     def restart(self) -> None:
         """Re-arm the sync loop after :meth:`crash`.
 
-        The retained in-flight batch (if any) retransmits through the
-        normal ``retry_timeout_s`` path, and the backlog drains batch by
-        batch exactly as after a healed partition.
+        The grid re-anchors at the restart instant.  The retained
+        in-flight batch (if any) retransmits through the normal
+        ``retry_timeout_s`` path, and the backlog drains batch by batch
+        exactly as after a healed partition.
         """
-        if self._process.alive:
+        if self.running:
             return
-        self._process = self.sim.spawn(
-            self._sync_loop(), f"replicator:{self.node.address}")
+        self.running = True
+        self._last_tick_at = self.sim.clock.now
+        if self._backlog or self._in_flight is not None:
+            self._wake()
         self.sim.trace.emit(
             self.sim.now, "fog", "replicator restarted",
             replicator=self.node.address, backlog=self.backlog_depth,

@@ -12,6 +12,8 @@ Security hooks:
 * every authorization failure is counted and traced, feeding the audit log.
 """
 
+import heapq
+from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mqtt.packets import (
@@ -66,6 +68,9 @@ class BrokerSession:
         self.keepalive_s = connect.keepalive_s
         self.connected = True
         self.last_seen = broker.sim.now
+        # Deadline of this session's live entry in the broker's deadline
+        # heap, or None when it has none.
+        self.queued_deadline: Optional[float] = None
         self.subscriptions: Dict[str, int] = {}
         self.will: Optional[Tuple[str, bytes, int, bool]] = None
         if connect.will_topic:
@@ -180,63 +185,100 @@ class MqttBroker(NetworkNode):
         # Optional inbound admission gate (assign a RateLimiter): a closed
         # window sheds PUBLISHes before any routing work.
         self.inbound_limit: Optional[RateLimiter] = None
+        # Session expiry runs on a fixed grid: the broker's start time plus
+        # whole sweep intervals, each point the float sum of the one before
+        # and the interval.  A tick is armed only at the first grid point
+        # at or after the earliest keepalive deadline, so every expiry
+        # lands on the tick a sweep running every interval would give it.
         self._sweep_interval_s = sweep_interval_s
-        self._sweeping = False
         self._sweep_label = f"{address}:sweep"
-        # Earliest instant any currently-known session could lapse.  The
-        # sweep tick only pays the full session scan when the clock has
-        # actually reached this bound; `last_seen` refreshes can only push
-        # real deadlines *later*, so the cached bound stays conservative,
-        # and (re)connects tighten it via _note_session_deadline.
-        self._next_possible_expiry = float("inf")
-        # Heartbeat for the resilience supervisor: a broker whose sweeper
-        # stopped ticking is wedged even if its socket still answers.
-        self.last_sweep_at = sim.now
-        self._start_sweeper()
+        # The latest grid point not after now: the last tick, or the start.
+        self._sweep_anchor = sim.now
+        self._sweep_event = None
+        # Min-heap of (last_seen + 1.5*keepalive, tie, session) with lazy
+        # invalidation: an entry is live while it matches the session's
+        # ``queued_deadline``.  ``last_seen`` refreshes only push a real
+        # deadline later, so a live entry is a lower bound; the tick that
+        # reaches it re-queues a refreshed session at its real deadline.
+        self._deadlines: List[Tuple[float, int, BrokerSession]] = []
+        self._deadline_tie = count()
 
     # -- plumbing -----------------------------------------------------------
-
-    def _start_sweeper(self) -> None:
-        if self._sweeping:
-            return
-        self._sweeping = True
-        self.sim.schedule(self._sweep_interval_s, self._sweep, label=self._sweep_label)
 
     def _on_offline_evict(self, publish: Publish) -> None:
         self.stats.offline_dropped += 1
 
     def _note_session_deadline(self, session: "BrokerSession") -> None:
-        if session.keepalive_s:
-            deadline = session.last_seen + 1.5 * session.keepalive_s
-            if deadline < self._next_possible_expiry:
-                self._next_possible_expiry = deadline
+        if not session.keepalive_s:
+            return
+        deadline = session.last_seen + 1.5 * session.keepalive_s
+        if session.queued_deadline is None or deadline < session.queued_deadline:
+            session.queued_deadline = deadline
+            heapq.heappush(self._deadlines, (deadline, next(self._deadline_tie), session))
+
+    def arm_sweep(self) -> None:
+        """Arm the sweep at the first grid point the earliest deadline needs.
+
+        The ``- 1e-6`` slack absorbs float rounding between ``now -
+        last_seen > 1.5*ka`` (the canonical expiry test) and the queued
+        ``last_seen + 1.5*ka``.  An armed tick that is already early
+        enough stays, so its place among events at the same instant holds.
+        """
+        heap = self._deadlines
+        while heap and heap[0][2].queued_deadline != heap[0][0]:
+            heapq.heappop(heap)
+        armed = self._sweep_event
+        if not heap:
+            if armed is not None:
+                armed.cancel()
+                self._sweep_event = None
+            return
+        due = heap[0][0] - 1e-6
+        interval = self._sweep_interval_s
+        at = self._sweep_anchor + interval
+        while at < due:
+            at += interval
+        if armed is not None:
+            if armed.time <= at:
+                return
+            armed.cancel()
+        self._sweep_event = self.sim.schedule_at(at, self._sweep, label=self._sweep_label)
+
+    def sweep_armed(self) -> bool:
+        """Health probe: a sweep is queued whenever a session can lapse."""
+        return self._sweep_event is not None or not any(
+            session.connected and session.keepalive_s for session in self.sessions.values()
+        )
 
     def _sweep(self) -> None:
         """Expire sessions whose keepalive lapsed (publishes their will).
 
-        The tick cadence is fixed (it doubles as the supervisor heartbeat
-        and keeps expiry times on the same grid as the original
-        scan-every-tick implementation); the O(n) session scan runs only
-        when the cached earliest-possible deadline has been reached.  The
-        small slack absorbs float rounding between ``now - last_seen >
-        1.5*ka`` (the canonical expiry test) and the cached
-        ``last_seen + 1.5*ka`` bound.
+        Only sessions whose queued deadline is due are tested; several
+        expiring on one tick go in ``sessions`` order, so their wills are
+        published in the order a scan of every session gives.
         """
         now = self.sim.clock.now
-        self.last_sweep_at = now
-        if now >= self._next_possible_expiry - 1e-6:
-            next_deadline = float("inf")
-            for session in list(self.sessions.values()):
-                if not session.connected or not session.keepalive_s:
-                    continue
-                if now - session.last_seen > 1.5 * session.keepalive_s:
-                    self._expire_session(session)
-                else:
-                    deadline = session.last_seen + 1.5 * session.keepalive_s
-                    if deadline < next_deadline:
-                        next_deadline = deadline
-            self._next_possible_expiry = next_deadline
-        self.sim.schedule(self._sweep_interval_s, self._sweep, label=self._sweep_label)
+        self._sweep_event = None
+        self._sweep_anchor = now
+        heap = self._deadlines
+        due = []
+        while heap and now >= heap[0][0] - 1e-6:
+            deadline, _, session = heapq.heappop(heap)
+            if session.queued_deadline != deadline:
+                continue
+            session.queued_deadline = None
+            if session.connected and session.keepalive_s:
+                due.append(session)
+        expired = set()
+        for session in due:
+            if now - session.last_seen > 1.5 * session.keepalive_s:
+                expired.add(session)
+            else:
+                self._note_session_deadline(session)
+        if expired:
+            for session in [s for s in self.sessions.values() if s in expired]:
+                self._expire_session(session)
+        self.arm_sweep()
 
     def _expire_session(self, session: BrokerSession) -> None:
         self.stats.session_expirations += 1
@@ -255,6 +297,7 @@ class MqttBroker(NetworkNode):
 
     def _disconnect_session(self, session: BrokerSession, drop_will: bool) -> None:
         session.connected = False
+        session.queued_deadline = None
         if drop_will:
             session.will = None
         session.outbox.clear()
@@ -361,6 +404,7 @@ class MqttBroker(NetworkNode):
                 )
         self._address_index[src_address] = connect.client_id
         self._note_session_deadline(session)
+        self.arm_sweep()
         self.stats.connects += 1
         self.send(
             src_address,
@@ -589,7 +633,8 @@ class MqttBroker(NetworkNode):
         self.sessions.clear()
         self._address_index.clear()
         self._routes.clear()
-        self._next_possible_expiry = float("inf")
+        self._deadlines.clear()
+        self.arm_sweep()
 
     # -- inspection -----------------------------------------------------------
 

@@ -7,9 +7,10 @@ A process is a Python generator driven by the simulator.  It may yield:
   carried through to the generator).
 
 Processes model everything with an autonomous clock in SWAMP: device
-failure clocks, irrigation controllers, attacker scripts, fog sync
-daemons.  Purely reactive components (brokers, links) use plain event
-callbacks instead, which are cheaper.
+failure clocks, irrigation controllers, attacker scripts.  Purely
+reactive components (brokers, links) and timers that sleep until woken
+(the broker sweep, the fog sync pump) use plain event callbacks
+instead, which are cheaper.
 """
 
 import enum

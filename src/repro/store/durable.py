@@ -411,8 +411,10 @@ class SegmentStore:
         resets the sequence accounting to the recovered prefix.  Raises
         :class:`StoreError` on mid-log corruption (a bad frame in a
         non-final segment): that is silent-data-loss territory, not a
-        crash artifact, and must fail loudly.
+        crash artifact, and must fail loudly.  A store that is still open
+        is closed first, so the scan reads every byte appended to it.
         """
+        self.close()
         self._load()
         if self._torn_end is not None:
             self._truncate_torn_tail()
@@ -820,6 +822,12 @@ def attach_durable_history(
     The returned service is also assigned to ``runner.durability`` for
     the chaos audit and CLI summary.
     """
+    # Checked before SegmentStore creates the directory, so a refused
+    # store leaves nothing on disk.
+    for name, value in (("flush_interval_s", flush_interval_s),
+                        ("compact_interval_s", compact_interval_s)):
+        if value is not None and value <= 0:
+            raise StoreError(f"{name} must be positive, got {value}")
     store = SegmentStore(root, max_segment_bytes=max_segment_bytes)
     service = DurabilityService(
         runner.sim, runner.history, store, flush_interval_s=flush_interval_s

@@ -61,13 +61,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize("flag", ["--store-flush", "--store-segment-bytes",
-                                      "--store-retention-age", "--store-retention-bytes"])
+                                      "--store-retention-age", "--store-retention-bytes",
+                                      "--store-compact"])
     def test_zero_store_flag_exits_with_the_library_message(self, tmp_path, command, flag):
         # A zero reaches the store as given (no silent swap for the
-        # default), which refuses it; the CLI prints that as an error line.
+        # default), which refuses it before creating any file; the CLI
+        # prints that as an error line.
         with pytest.raises(SystemExit, match="must be positive"):
             main([command, "matopiba", "--days", "0.1",
                   "--store", str(tmp_path / "wal"), flag, "0"], out=io.StringIO())
+        assert not (tmp_path / "wal").exists()
 
     def test_run_refuses_an_sws1_store_with_one_line(self, tmp_path):
         # A directory the previous segment format wrote: JSON samples.

@@ -124,6 +124,27 @@ class TestReplication:
         rig.sim.run(until=25.0)
         assert rig.cloud_context.entity_count() == 50
 
+    def test_captures_go_out_on_the_grid_tick_a_polling_pump_gives_them(self):
+        """The pump's grid is the anchor plus whole intervals (10 s here).
+        A capture at the anchor waits for the 10 s tick; one at exactly a
+        later grid point, queued before that tick, goes out on it; one
+        just after a grid point waits for the next."""
+        rig = ReplicationRig()
+        sent_at = []
+        transmit = rig.replicator._transmit
+
+        def recording(batch):
+            sent_at.append(rig.sim.now)
+            transmit(batch)
+
+        rig.replicator._transmit = recording
+        rig.update("at-anchor", v=1)
+        rig.sim.schedule_at(40.0, lambda: rig.update("on-grid", v=2))
+        rig.sim.schedule_at(70.5, lambda: rig.update("off-grid", v=3))
+        rig.sim.run(until=200.0)
+        assert sent_at == [10.0, 40.0, 80.0]
+        assert rig.cloud_context.entity_count() == 3
+
     def test_lost_ack_retransmit_is_counted_duplicate(self):
         """Deterministic ack-loss path: drop exactly the first _SyncAck.
         The fog retransmits the batch after retry_timeout_s, the cloud
@@ -249,12 +270,15 @@ class TestReplicatorCrashRestart:
 
     def test_crash_and_restart_are_idempotent(self):
         rig = ReplicationRig()
+        rig.update("e1", v=1)  # a backlog, so a restart arms the pump
         rig.replicator.crash()
         rig.replicator.crash()  # second kill is a no-op
         rig.replicator.restart()
-        first = rig.replicator._process
-        rig.replicator.restart()  # already running: no second process
-        assert rig.replicator._process is first
+        first = rig.replicator._tick_event
+        queued = len(rig.sim.queue)
+        rig.replicator.restart()  # already running: no second timer
+        assert rig.replicator._tick_event is first is not None
+        assert len(rig.sim.queue) == queued
 
 
 class TestNodes:

@@ -330,6 +330,24 @@ class TestKeepaliveAndWill:
         assert wills == ["status/fast", "status/slow"]
         assert list(broker.sessions) == ["watcher"]
 
+    def test_sweep_is_queued_only_while_a_session_can_lapse(self):
+        sim = Simulator(seed=1)
+        net, broker, (c,) = build(sim, 1, keepalive_s=5.0)
+
+        def sweeps_queued():
+            return [entry for entry in sim.queue.signature() if entry[3] == "broker:sweep"]
+
+        assert sweeps_queued() == [] and broker.sweep_armed()
+        sim.run(until=30.0)
+        assert sweeps_queued() == []  # no session, no sweep
+        c.connect()
+        sim.run(until=30.1)
+        # The CONNECT arms the grid point at or after its 7.5 s deadline.
+        assert [entry[0] for entry in sweeps_queued()] == [40.0]
+        assert broker.sweep_armed()
+        broker.restart()
+        assert sweeps_queued() == [] and broker.sweep_armed()
+
     def test_pings_keep_session_alive(self):
         sim = Simulator(seed=1)
         net, broker, (c,) = build(sim, 1, keepalive_s=5.0)

@@ -469,6 +469,32 @@ class TestPilotIntegration:
         )
         assert journal.get("entryCount") == report.reconciled_decisions
 
+    def test_broker_probes_stay_healthy_between_sparse_sweeps(self):
+        """The sweep runs only when a keepalive deadline is due, so the
+        broker goes longer than the supervisor's 30 s checks without one.
+        The probes check that a sweep is armed, not how recent it is."""
+        runner = self.build()
+        broker = runner.fog.mqtt
+        swept_at = []
+        sweep = broker._sweep
+
+        def recording_sweep():
+            swept_at.append(runner.sim.now)
+            sweep()
+
+        broker._sweep = recording_sweep
+        transitions = []
+        runner.supervisor.on_state_change.append(
+            lambda service, old, new, now: transitions.append((service, new)))
+        runner.run_days(2)
+        gaps = [b - a for a, b in zip(swept_at, swept_at[1:])]
+        assert max(gaps) >= 60.0
+        assert [t for t in transitions if t[0] in ("mqtt.broker", "fog.node")] == []
+        for service in ("mqtt.broker", "fog.node"):
+            assert runner.supervisor.health(service) is ServiceHealth.HEALTHY
+        assert runner.supervisor.total_restarts == 0
+        assert broker.sweep_armed()
+
     def test_resilience_metrics_are_exported(self):
         runner = self.build()
         runner.run_season()

@@ -7,11 +7,13 @@ recovered records are always a strict prefix of what was accepted, and
 the rebuilt history serves exactly the reads that prefix implies.
 """
 
+import gc
 import json
 import math
 import os
 import random
 import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,21 @@ class TestSegmentStore:
         store.append(b"after")
         assert store.commit()
         assert store.read_all() == payloads_for(8) + [b"after"]
+
+    def test_recover_on_an_open_store_closes_its_active_file(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        store.append(b"first")
+        assert store.commit()
+        store.append(b"second")  # still buffered in the active file
+        # Record what ``-W error::ResourceWarning`` would raise: a dropped
+        # unclosed handle warns when it is collected.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            recovered = store.recover()
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert recovered == store.read_all() == [b"first", b"second"]
+        store.close()
 
     def test_mid_log_corruption_fails_loudly(self, tmp_path):
         store = SegmentStore(str(tmp_path), max_segment_bytes=120)
