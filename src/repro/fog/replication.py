@@ -17,6 +17,7 @@ from repro.context.entities import ContextEntity
 from repro.network.node import NetworkNode
 from repro.network.packet import Packet
 from repro.network.topology import Network
+from repro.simkernel.process import GridTimer
 from repro.simkernel.simulator import Simulator
 
 
@@ -158,15 +159,11 @@ class Replicator:
             "fog.backlog_depth", lambda: float(self.backlog_depth), labels
         )
         source_context.update_hooks.append(self._capture)
-        # The pump ticks on a grid: the anchor (start or last restart) plus
-        # whole sync intervals, each point the float sum of the one before
-        # and the interval.  It sleeps, with no tick queued, while the
-        # backlog is empty and nothing is in flight; a capture wakes it.
+        # The pump ticks on a grid from its start (or last restart).  It
+        # sleeps, with no tick queued, while the backlog is empty and
+        # nothing is in flight; a capture wakes it.
         self.running = True
-        self._tick_label = f"proc:replicator:{address}"
-        self._tick_event = None
-        # The last tick, or the anchor when none has run since it.
-        self._last_tick_at = sim.now
+        self._timer = GridTimer(sim, sync_interval_s, self._tick, f"proc:replicator:{address}")
 
     @property
     def backlog_depth(self) -> int:
@@ -192,33 +189,20 @@ class Replicator:
             self._backlog.popleft()
             self.updates_dropped_overflow += 1
         self._backlog.append(update)
-        if self._tick_event is None and self.running:
-            self._wake()
+        if self.running:
+            # A capture at exactly a grid point wakes the pump at that
+            # point: a pump that never slept queued its tick there one
+            # interval earlier, so the tick ran after any event at that
+            # instant queued before then (the daily 06:00 cycle is queued
+            # a day ahead), and its batch carried the capture.
+            self._timer.arm(self.sim.clock.now)
 
     # -- sync loop -----------------------------------------------------------
 
-    def _wake(self) -> None:
-        """Queue the tick at the first grid point past the last tick (or
-        the anchor) that is at or after now.
-
-        A capture at exactly a grid point wakes the pump at that point: a
-        pump that never slept queued its tick there one interval earlier,
-        so the tick ran after any event at that instant queued before
-        then (the daily 06:00 cycle is queued a day ahead), and its batch
-        carried the capture.  The anchor itself is not such a point.
-        """
-        at = self._last_tick_at + self.sync_interval_s
-        now = self.sim.clock.now
-        while at < now:
-            at += self.sync_interval_s
-        self._tick_event = self.sim.schedule_at(at, self._tick, label=self._tick_label)
-
     def _tick(self) -> None:
-        self._tick_event = None
-        self._last_tick_at = self.sim.clock.now
         self._pump()
         if self._backlog or self._in_flight is not None:
-            self._wake()
+            self._timer.arm(self.sim.clock.now)
 
     def _pump(self) -> None:
         now = self.sim.clock.now
@@ -295,9 +279,7 @@ class Replicator:
         process dies; captures keep accumulating via the context hook.
         """
         self.running = False
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
+        self._timer.cancel()
         self.sim.trace.emit(
             self.sim.now, "fog", "replicator crashed",
             replicator=self.node.address, backlog=self.backlog_depth,
@@ -314,9 +296,9 @@ class Replicator:
         if self.running:
             return
         self.running = True
-        self._last_tick_at = self.sim.clock.now
+        self._timer.reanchor()
         if self._backlog or self._in_flight is not None:
-            self._wake()
+            self._timer.arm(self.sim.clock.now)
         self.sim.trace.emit(
             self.sim.now, "fog", "replicator restarted",
             replicator=self.node.address, backlog=self.backlog_depth,

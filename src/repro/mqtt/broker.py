@@ -40,6 +40,7 @@ from repro.network.node import NetworkNode
 from repro.network.packet import Packet
 from repro.resilience.backpressure import BoundedQueue, DropPolicy, RateLimiter
 from repro.simkernel.errors import ReproError
+from repro.simkernel.process import GridTimer
 from repro.simkernel.simulator import Simulator
 
 # PINGRESP is stateless; every keepalive answer shares one instance.
@@ -47,6 +48,9 @@ _PINGRESP = PingResp()
 _PINGRESP_SIZE = _PINGRESP.wire_size()
 
 SUBACK_FAILURE = 0x80
+
+#: Seconds between the points of the session sweep's grid.
+SWEEP_INTERVAL_S = 10.0
 
 
 class RoutingMismatchError(ReproError):
@@ -138,7 +142,6 @@ class MqttBroker(NetworkNode):
         authenticator: Optional[Callable[[Connect], ConnectReturnCode]] = None,
         authorizer: Optional[Callable[[BrokerSession, str, str], bool]] = None,
         max_offline_queue: int = 1000,
-        sweep_interval_s: float = 10.0,
         max_inflight_per_session: int = 64,
     ) -> None:
         super().__init__(address)
@@ -185,16 +188,11 @@ class MqttBroker(NetworkNode):
         # Optional inbound admission gate (assign a RateLimiter): a closed
         # window sheds PUBLISHes before any routing work.
         self.inbound_limit: Optional[RateLimiter] = None
-        # Session expiry runs on a fixed grid: the broker's start time plus
-        # whole sweep intervals, each point the float sum of the one before
-        # and the interval.  A tick is armed only at the first grid point
-        # at or after the earliest keepalive deadline, so every expiry
-        # lands on the tick a sweep running every interval would give it.
-        self._sweep_interval_s = sweep_interval_s
-        self._sweep_label = f"{address}:sweep"
-        # The latest grid point not after now: the last tick, or the start.
-        self._sweep_anchor = sim.now
-        self._sweep_event = None
+        # Session expiry runs on a grid from the broker's start time.  A
+        # tick is armed only at the first grid point at or after the
+        # earliest keepalive deadline, so every expiry lands on the tick a
+        # sweep running every interval would give it.
+        self._sweep_timer = GridTimer(sim, SWEEP_INTERVAL_S, self._sweep, f"{address}:sweep")
         # Min-heap of (last_seen + 1.5*keepalive, tie, session) with lazy
         # invalidation: an entry is live while it matches the session's
         # ``queued_deadline``.  ``last_seen`` refreshes only push a real
@@ -221,32 +219,19 @@ class MqttBroker(NetworkNode):
 
         The ``- 1e-6`` slack absorbs float rounding between ``now -
         last_seen > 1.5*ka`` (the canonical expiry test) and the queued
-        ``last_seen + 1.5*ka``.  An armed tick that is already early
-        enough stays, so its place among events at the same instant holds.
+        ``last_seen + 1.5*ka``.
         """
         heap = self._deadlines
         while heap and heap[0][2].queued_deadline != heap[0][0]:
             heapq.heappop(heap)
-        armed = self._sweep_event
-        if not heap:
-            if armed is not None:
-                armed.cancel()
-                self._sweep_event = None
-            return
-        due = heap[0][0] - 1e-6
-        interval = self._sweep_interval_s
-        at = self._sweep_anchor + interval
-        while at < due:
-            at += interval
-        if armed is not None:
-            if armed.time <= at:
-                return
-            armed.cancel()
-        self._sweep_event = self.sim.schedule_at(at, self._sweep, label=self._sweep_label)
+        if heap:
+            self._sweep_timer.arm(heap[0][0] - 1e-6)
+        else:
+            self._sweep_timer.cancel()
 
     def sweep_armed(self) -> bool:
         """Health probe: a sweep is queued whenever a session can lapse."""
-        return self._sweep_event is not None or not any(
+        return self._sweep_timer.armed or not any(
             session.connected and session.keepalive_s for session in self.sessions.values()
         )
 
@@ -258,8 +243,6 @@ class MqttBroker(NetworkNode):
         published in the order a scan of every session gives.
         """
         now = self.sim.clock.now
-        self._sweep_event = None
-        self._sweep_anchor = now
         heap = self._deadlines
         due = []
         while heap and now >= heap[0][0] - 1e-6:

@@ -5,7 +5,7 @@ SWAMP deployment puts in front of Orion + STH-Comet for dashboards and
 analytics consumers: an NGSIv2/STH route table, OAuth2 bearer
 authentication through the existing ``security.auth`` PEP/PDP, per-tenant
 namespace isolation and quotas, a version-invalidated response cache, and
-a pump process that drains admitted requests on the simulation clock.
+a pump that drains admitted requests on the simulation clock.
 
 Request lifecycle (``submit``/``handle``):
 
@@ -22,7 +22,7 @@ Request lifecycle (``submit``/``handle``):
 4. **admit** — the tenant's quota window (429) and backlog queue (503);
 5. **execute** — immediately (``handle()``, or ``submit()`` before
    ``start()``), or when the pump drains the backlog (``submit()`` once
-   ``start()`` has spawned the pump); cacheable reads consult the
+   ``start()`` has anchored the pump); cacheable reads consult the
    response cache; handler errors translate through
    :mod:`repro.service.errors`.
 
@@ -72,6 +72,7 @@ from repro.service.errors import (
 from repro.service.http import Request, Response, Route, Router
 from repro.service.tenancy import Tenant, TenantSpec
 from repro.simkernel.errors import ReproError
+from repro.simkernel.process import GridTimer
 from repro.simkernel.simulator import Simulator
 
 __all__ = ["NgsiService", "ServiceConfig", "attach_service", "percentile"]
@@ -95,8 +96,9 @@ _FARM_IN_URN = re.compile(r"^urn:[^:]+:([^:]+):")
 class ServiceConfig:
     """Tuning knobs for one :class:`NgsiService` instance."""
 
-    #: Once :meth:`NgsiService.start` has spawned the pump, it drains
-    #: admitted requests every this many sim-seconds.
+    #: Once :meth:`NgsiService.start` has anchored the pump, it drains
+    #: admitted requests on a grid of this many sim-seconds from then,
+    #: ticking only while a backlog holds a request.
     pump_interval_s: float = 1.0
     max_requests_per_tick: int = 256
     cache_capacity: int = 1024
@@ -226,12 +228,7 @@ class NgsiService:
         #: SHA-256 over the log lines of the records the cap evicted.
         self._evicted = hashlib.sha256()
         self._seq = 0
-        self._pump = None
-        #: An idle pump waits on this; :meth:`submit` fires it when it
-        #: queues a request, :meth:`expect_arrivals` when arrivals are due.
-        self._wake = sim.signal("service-wake")
-        #: Arrivals announced by :meth:`expect_arrivals` not yet submitted.
-        self._arrivals_pending = 0
+        self._pump: Optional[GridTimer] = None
         self.wall_time_s = 0.0
         #: Requests admitted to :meth:`_accept` (``_seq`` lags the ones
         #: still queued) and refusals by reason (an auth refusal may
@@ -381,28 +378,15 @@ class NgsiService:
         return self.delivery
 
     def start(self) -> None:
-        """Spawn the pump process (idempotent); ``submit`` queues from now on."""
+        """Anchor the pump's grid at now (idempotent); ``submit`` queues
+        from now on.  The pump sleeps while every backlog is empty."""
         if self._pump is None:
-            self._pump = self.sim.spawn(self._pump_loop(), name="service-pump")
+            self._pump = GridTimer(
+                self.sim, self.config.pump_interval_s, self._drain_tick, "proc:service-pump")
 
-    def expect_arrivals(self, count: int) -> None:
-        """Announce ``count`` scheduled arrivals, each to be passed to
-        :meth:`submit` with ``arrival=True``: until the last is, the pump
-        keeps ticking even when every backlog is empty."""
-        self._arrivals_pending += count
-        self._wake.fire()
-
-    def _pump_loop(self):
-        while True:
-            if not self._drain_tick() and not self._arrivals_pending:
-                # Nothing queued and no arrival due: sleep until a request
-                # is queued, then drain it one interval later.
-                yield self._wake
-            yield self.config.pump_interval_s
-
-    def _drain_tick(self) -> bool:
-        """Drain up to the per-tick budget; True if a backlog still holds
-        requests."""
+    def _drain_tick(self) -> None:
+        """Drain up to the per-tick budget; re-arm while a backlog still
+        holds requests."""
         budget = self.config.max_requests_per_tick
         names = sorted(self._tenants)
         progress = True
@@ -418,21 +402,19 @@ class NgsiService:
                 self._execute(route, request, params, tenant, at_s)
                 budget -= 1
                 progress = True
-        return any(self._tenants[name].backlog for name in names)
+        if any(self._tenants[name].backlog for name in names):
+            self._pump.arm(self.sim.now)
 
     # -- request path -----------------------------------------------------------
 
-    def submit(self, request: Request, arrival: bool = False) -> Optional[Response]:
+    def submit(self, request: Request) -> Optional[Response]:
         """Admit a request.  Before :meth:`start` it executes at once and
         returns the response; after, admissions queue and return None (the
-        response lands in the record log when the pump executes them).
-        ``arrival`` marks one of the arrivals :meth:`expect_arrivals`
-        announced."""
-        if arrival:
-            self._arrivals_pending -= 1
+        response lands in the record log when the pump executes them, at
+        the first point of its grid at or after now)."""
         response = self._accept(request, queue=self._pump is not None)
         if response is None:
-            self._wake.fire()
+            self._pump.arm(self.sim.now)
         return response
 
     def handle(self, request: Request) -> Response:

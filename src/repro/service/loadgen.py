@@ -299,9 +299,10 @@ def schedule_trace(service: NgsiService, trace: RequestTrace) -> int:
     against a service that pre-registered its tenants.  A request without
     an explicit ``token`` must name a tenant the trace declares or the
     service has; otherwise :class:`ServiceError` names each such tenant
-    before anything is registered or scheduled.  The arrivals are
-    announced to the service (:meth:`NgsiService.expect_arrivals`), so its
-    pump keeps ticking until the last one has been submitted.
+    before anything is registered or scheduled.  The service is started
+    here, so each arrival queues and drains on the pump's grid, which
+    holds across the pump's sleeps: a request drains on the tick a pump
+    polling every interval from ``start()`` would give it.
     """
     known = {t.name for t in service.tenants()} | {spec.name for spec in trace.tenants}
     undeclared = sorted({
@@ -316,8 +317,6 @@ def schedule_trace(service: NgsiService, trace: RequestTrace) -> int:
     for spec in trace.tenants:
         if spec.name not in {t.name for t in service.tenants()}:
             service.register_tenant(spec)
-    # Before start(): a pump spawned at this instant keeps its tick grid.
-    service.expect_arrivals(len(trace.requests))
     service.start()
 
     def fire(request: TraceRequest) -> None:
@@ -330,7 +329,7 @@ def schedule_trace(service: NgsiService, trace: RequestTrace) -> int:
             params=dict(request.params),
             body=request.body,
             token=token,
-        ), arrival=True)
+        ))
 
     for request in trace.requests:
         service.sim.schedule_at(

@@ -1,20 +1,18 @@
-"""Generator-based simulation processes.
+"""Generator-based simulation processes and the kernel's grid timer.
 
-A process is a Python generator driven by the simulator.  It may yield:
-
-* a ``float``/``int`` — sleep that many simulated seconds;
-* a :class:`Signal` — block until someone fires the signal (a value may be
-  carried through to the generator).
+A process is a Python generator driven by the simulator.  It yields a
+``float``/``int``: sleep that many simulated seconds.
 
 Processes model everything with an autonomous clock in SWAMP: device
 failure clocks, irrigation controllers, attacker scripts.  Purely
-reactive components (brokers, links) and timers that sleep until woken
-(the broker sweep, the fog sync pump) use plain event callbacks
-instead, which are cheaper.
+reactive components (brokers, links) use plain event callbacks instead,
+which are cheaper.  A daemon that works on a fixed schedule but sleeps
+while it has nothing to do (the broker's session sweep, the fog sync
+pump, the service pump) uses a :class:`GridTimer`.
 """
 
 import enum
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, Optional
 
 from repro.simkernel.errors import ProcessError
 
@@ -27,39 +25,71 @@ class ProcessState(enum.Enum):
     KILLED = "killed"
 
 
-class Signal:
-    """A one-to-many wakeup primitive.
+class GridTimer:
+    """A callback on a fixed grid of sim times, queued only while armed.
 
-    Processes yield the signal to block on it; :meth:`fire` wakes all current
-    waiters (delivering ``value`` as the result of their ``yield``).  A signal
-    can be fired repeatedly; each firing wakes only the waiters blocked at
-    that moment.
+    The grid is the anchor plus whole intervals, each point the float sum
+    of the point before and the interval, so a tick lands on the bit-equal
+    time a callback rescheduling itself every interval from the anchor
+    would.  :meth:`arm` queues the first grid point after the anchor that
+    is at or after ``t``; a tick already queued no later than that point
+    stays, so its place among events at the same instant holds.  A tick
+    moves the anchor to its own time, clears its event, then calls back.
     """
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: List["Process"] = []
-        self.fire_count = 0
+    __slots__ = ("_sim", "interval", "callback", "label", "anchor", "event", "_before")
 
-    def add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
+    def __init__(
+        self, sim, interval: float, callback: Callable[[], Any], label: str
+    ) -> None:
+        self._sim = sim
+        self.interval = interval
+        self.callback = callback
+        self.label = label
+        self.anchor = sim.now
+        self.event = None
+        # The grid point before the queued tick (or the anchor).
+        self._before = self.anchor
 
-    def discard_waiter(self, process: "Process") -> None:
-        try:
-            self._waiters.remove(process)
-        except ValueError:
-            pass
+    @property
+    def armed(self) -> bool:
+        return self.event is not None
 
-    def fire(self, value: Any = None) -> int:
-        """Wake all waiters now; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
-        self.fire_count += 1
-        for process in waiters:
-            process._wake(value)
-        return len(waiters)
+    def arm(self, t: float) -> None:
+        """Queue the first grid point at or after ``t`` (past the anchor)."""
+        event = self.event
+        if event is not None and t > self._before:
+            # The queued tick is the first grid point at or after t, or
+            # earlier.
+            return
+        interval = self.interval
+        before = self.anchor
+        at = before + interval
+        while at < t:
+            before = at
+            at += interval
+        if event is not None:
+            if event.time <= at:
+                return
+            event.cancel()
+        self._before = before
+        self.event = self._sim.schedule_at(at, self._tick, label=self.label)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
+    def cancel(self) -> None:
+        """Drop the queued tick, if any."""
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def reanchor(self) -> None:
+        """Restart the grid at now, dropping a tick queued on the old one."""
+        self.cancel()
+        self.anchor = self._sim.now
+
+    def _tick(self) -> None:
+        self.anchor = self._sim.clock.now
+        self.event = None
+        self.callback()
 
 
 class Process:
@@ -73,8 +103,6 @@ class Process:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._pending_event = None
-        self._waiting_signal: Optional[Signal] = None
-        self.done_signal = Signal(f"{name}.done")
         self._timer_label = f"proc:{name}"
 
     # -- kernel interface ---------------------------------------------------
@@ -83,7 +111,7 @@ class Process:
         if self.state is not ProcessState.CREATED:
             raise ProcessError(f"process {self.name!r} started twice")
         self.state = ProcessState.RUNNING
-        self._step(None)
+        self._step()
 
     def kill(self, reason: str = "killed") -> None:
         """Terminate the process without running any more of its body."""
@@ -92,65 +120,39 @@ class Process:
         if self._pending_event is not None:
             self._pending_event.cancel()
             self._pending_event = None
-        if self._waiting_signal is not None:
-            self._waiting_signal.discard_waiter(self)
-            self._waiting_signal = None
         self._gen.close()
         self.state = ProcessState.KILLED
         self.result = reason
-        self.done_signal.fire(self)
 
-    def _wake(self, value: Any) -> None:
-        """Called by a Signal when it fires."""
-        self._waiting_signal = None
-        self._step(value)
-
-    def _step(self, send_value: Any) -> None:
+    def _step(self) -> None:
+        self._pending_event = None
         try:
-            yielded = self._gen.send(send_value)
+            yielded = next(self._gen)
         except StopIteration as stop:
             self.state = ProcessState.FINISHED
             self.result = stop.value
-            self.done_signal.fire(self)
             return
         except Exception as exc:
             self.state = ProcessState.FAILED
             self.error = exc
-            self.done_signal.fire(self)
             self._sim.on_process_failure(self, exc)
             return
-        self._handle_yield(yielded)
-
-    def _handle_yield(self, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            delay = float(yielded)
-            if delay < 0:
-                self._fail(ProcessError(f"process {self.name!r} yielded negative delay {delay}"))
-                return
-            self._pending_event = self._sim.schedule(
-                delay, self._on_timer, label=self._timer_label
-            )
-            return
-        if isinstance(yielded, Signal):
-            self._waiting_signal = yielded
-            yielded.add_waiter(self)
-            return
-        self._fail(
-            ProcessError(
+        if not isinstance(yielded, (int, float)):
+            self._fail(ProcessError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}; "
-                "yield a delay (seconds) or a Signal"
-            )
-        )
-
-    def _on_timer(self) -> None:
-        self._pending_event = None
-        self._step(None)
+                "yield a delay (seconds)"
+            ))
+            return
+        delay = float(yielded)
+        if delay < 0:
+            self._fail(ProcessError(f"process {self.name!r} yielded negative delay {delay}"))
+            return
+        self._pending_event = self._sim.schedule(delay, self._step, label=self._timer_label)
 
     def _fail(self, exc: BaseException) -> None:
         self.state = ProcessState.FAILED
         self.error = exc
         self._gen.close()
-        self.done_signal.fire(self)
         self._sim.on_process_failure(self, exc)
 
     # -- inspection ----------------------------------------------------------

@@ -2,12 +2,12 @@
 
 import heapq
 import time
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.simkernel.clock import SimClock
 from repro.simkernel.errors import ScheduleInPastError, SimulationError, StopSimulation
 from repro.simkernel.events import PRIORITY_NORMAL, Event, EventQueue
-from repro.simkernel.process import Process, Signal
+from repro.simkernel.process import Process
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.snapshot import SNAPSHOT_VERSION, KernelSnapshot
 from repro.simkernel.trace import TraceLog
@@ -45,7 +45,6 @@ class Simulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_clock(self.clock)
         self.profiler = profiler
-        self.processes: List[Process] = []
         self._running = False
         self._stop_reason: Optional[str] = None
         self.events_executed = 0
@@ -109,12 +108,8 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "proc") -> Process:
         """Start a generator-based process immediately."""
         process = Process(self, generator, name)
-        self.processes.append(process)
         process.start()
         return process
-
-    def signal(self, name: str = "") -> Signal:
-        return Signal(name)
 
     # -- run loop ---------------------------------------------------------------
 
@@ -247,18 +242,6 @@ class Simulator:
         if self.wall_time_s <= 0.0:
             return 0.0
         return self.events_executed / self.wall_time_s
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "now": self.clock.now,
-            "events_executed": self.events_executed,
-            "events_pending": len(self.queue),
-            "processes": len(self.processes),
-            "processes_alive": sum(1 for p in self.processes if p.alive),
-            "trace_records": len(self.trace),
-            "wall_time_s": self.wall_time_s,
-            "events_per_sec": self.events_per_sec(),
-        }
 
     # -- snapshot -------------------------------------------------------------
 

@@ -274,10 +274,10 @@ class TestReplicatorCrashRestart:
         rig.replicator.crash()
         rig.replicator.crash()  # second kill is a no-op
         rig.replicator.restart()
-        first = rig.replicator._tick_event
+        first = rig.replicator._timer.event
         queued = len(rig.sim.queue)
         rig.replicator.restart()  # already running: no second timer
-        assert rig.replicator._tick_event is first is not None
+        assert rig.replicator._timer.event is first is not None
         assert len(rig.sim.queue) == queued
 
 

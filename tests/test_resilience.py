@@ -476,13 +476,14 @@ class TestPilotIntegration:
         runner = self.build()
         broker = runner.fog.mqtt
         swept_at = []
-        sweep = broker._sweep
+        timer = broker._sweep_timer
+        sweep = timer.callback
 
         def recording_sweep():
             swept_at.append(runner.sim.now)
             sweep()
 
-        broker._sweep = recording_sweep
+        timer.callback = recording_sweep
         transitions = []
         runner.supervisor.on_state_change.append(
             lambda service, old, new, now: transitions.append((service, new)))

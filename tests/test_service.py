@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -892,14 +893,49 @@ class TestLoadgenAndRun:
         pending = [label for *_, label in sim.queue.signature()]
         assert "proc:service-pump" not in pending
         executed = sim.events_executed
-        sim.run_until(sim.now + 86_400.0)
+        sim.run_until(sim.now + 86_401.0)
         assert sim.events_executed == executed  # a day without a single tick
         at_s = sim.now
         token = service.tenant_token("dash-a")
         assert service.submit(Request("GET", "/v2/entities", token=token)) is None
         sim.run_until(at_s + 10.0)
         record = service.records[-1]
-        assert (record["at_s"], record["done_s"], record["status"]) == (at_s, at_s + 2.5, 200)
+        # Drained at the next point of the pump's 2.5 s grid from start().
+        grid_point = math.ceil(at_s / 2.5) * 2.5
+        assert at_s < grid_point < at_s + 2.5
+        assert (record["at_s"], record["done_s"], record["status"]) == (at_s, grid_point, 200)
+
+    def test_sparse_trace_runs_one_pump_tick_per_arrival(self):
+        """Arrivals at least ten intervals apart: the pump sleeps between
+        them, and each drains on the first point of its grid from
+        ``start()`` at or after its arrival, bit-equal to the float sums a
+        pump polling every interval would reach."""
+        from repro.service import RequestTrace, TraceRequest, schedule_trace
+
+        interval = 0.7
+        service = make_service(pump_interval_s=interval)
+        seed_entities(service.broker)
+        arrivals = [7.0, 15.3, 22.4, 41.05]
+        trace = RequestTrace("sparse", 0, [TenantSpec("dash", "dash-secret", (FARM_PREFIX,))], [
+            TraceRequest(at_s, "dash", "GET", "/v2/entities") for at_s in arrivals
+        ])
+        labels = []
+
+        class Labels:
+            def record(self, event, wall_s):
+                labels.append(event.label)
+
+        sim = service.sim
+        sim.profiler = Labels()
+        schedule_trace(service, trace)
+        sim.run_until(arrivals[-1] + 10.0 * interval)
+        assert labels.count("proc:service-pump") == len(arrivals)
+        grid = [0.0]
+        while grid[-1] < arrivals[-1]:
+            grid.append(grid[-1] + interval)
+        assert [(r["at_s"], r["done_s"], r["status"]) for r in service.records] == [
+            (at_s, next(t for t in grid if t >= at_s), 200) for at_s in arrivals
+        ]
 
     def test_revoked_tenant_token_is_regranted(self):
         service = make_service()

@@ -13,7 +13,7 @@ from repro.simkernel import (
 from repro.simkernel.clock import DAY, HOUR, MINUTE, SimClock
 from repro.simkernel.errors import ProcessError, ScheduleInPastError
 from repro.simkernel.events import EventQueue
-from repro.simkernel.process import ProcessState, Signal
+from repro.simkernel.process import GridTimer, ProcessState
 from repro.simkernel.rng import derive_seed
 
 
@@ -346,45 +346,6 @@ class TestProcess:
         assert p.state is ProcessState.FINISHED
         assert p.result == 42
 
-    def test_signal_wakes_waiters(self):
-        sim = Simulator()
-        sig = Signal("go")
-        got = []
-
-        def waiter(name):
-            value = yield sig
-            got.append((name, value, sim.now))
-
-        def firer():
-            yield 3.0
-            sig.fire("payload")
-
-        sim.spawn(waiter("a"), "a")
-        sim.spawn(waiter("b"), "b")
-        sim.spawn(firer(), "f")
-        sim.run()
-        assert got == [("a", "payload", 3.0), ("b", "payload", 3.0)]
-
-    def test_signal_refire_wakes_new_waiters_only(self):
-        sim = Simulator()
-        sig = Signal()
-        got = []
-
-        def waiter():
-            got.append((yield sig))
-
-        def driver():
-            yield 1.0
-            sig.fire("first")
-            yield 1.0
-            sig.fire("second")  # nobody waiting
-
-        sim.spawn(waiter(), "w")
-        sim.spawn(driver(), "d")
-        sim.run()
-        assert got == ["first"]
-        assert sig.fire_count == 2
-
     def test_kill_cancels_pending_timer(self):
         sim = Simulator()
         marks = []
@@ -398,37 +359,6 @@ class TestProcess:
         sim.run()
         assert marks == []
         assert p.state is ProcessState.KILLED
-
-    def test_kill_removes_signal_waiter(self):
-        sim = Simulator()
-        sig = Signal()
-
-        def body():
-            yield sig
-            pytest.fail("woken after kill")
-
-        p = sim.spawn(body(), "victim")
-        sim.schedule(1.0, lambda: p.kill())
-        sim.schedule(2.0, lambda: sig.fire())
-        sim.run()
-        assert p.state is ProcessState.KILLED
-
-    def test_done_signal_fires(self):
-        sim = Simulator()
-        order = []
-
-        def short():
-            yield 1.0
-            return "done"
-
-        def watcher(proc):
-            finished = yield proc.done_signal
-            order.append((finished.result, sim.now))
-
-        p = sim.spawn(short(), "short")
-        sim.spawn(watcher(p), "watch")
-        sim.run()
-        assert order == [("done", 1.0)]
 
     def test_bad_yield_fails_process(self):
         sim = Simulator()
@@ -483,6 +413,91 @@ class TestProcess:
         p = sim.spawn(body(), "p")
         with pytest.raises(ProcessError):
             p.start()
+
+
+_OPS = st.tuples(
+    st.floats(0.0, 4.0),  # gap before the op, in intervals
+    st.sampled_from(["arm", "arm", "arm", "cancel", "reanchor"]),
+    st.floats(0.0, 4.0),  # an arm's lead over now, in intervals
+)
+
+
+class TestGridTimer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        interval=st.floats(0.05, 100.0),
+        anchor=st.floats(0.0, 1000.0),
+        ops=st.lists(_OPS, max_size=12),
+    )
+    def test_ticks_land_on_a_self_rescheduling_reference(self, interval, anchor, ops):
+        """Every tick is bit-equal to a tick of a callback that reschedules
+        itself every interval from the anchor (restarted at each
+        reanchor), and is the first such tick past the anchor at or after
+        the earliest arm since the last tick, cancel or reanchor."""
+        sim = Simulator()
+        sim.run(until=anchor)
+        chains = [[sim.now]]  # one reference chain per grid epoch
+
+        def reference(epoch):
+            if epoch == len(chains) - 1:
+                chains[epoch].append(sim.now)
+                sim.schedule(interval, reference, (epoch,))
+
+        model = {"anchor": sim.now, "due": None}
+        fired = []  # (time, epoch, anchor before the tick, earliest arm)
+
+        def on_tick():
+            assert model["due"] is not None, "a tick nobody armed"
+            fired.append((sim.now, len(chains) - 1, model["anchor"], model["due"]))
+            model["anchor"], model["due"] = sim.now, None
+
+        timer = GridTimer(sim, interval, on_tick, "grid")
+        sim.schedule(interval, reference, (0,))
+
+        def op(kind, lead):
+            if kind == "arm":
+                t = sim.now + lead * interval
+                model["due"] = t if model["due"] is None else min(model["due"], t)
+                timer.arm(t)
+            elif kind == "cancel":
+                model["due"] = None
+                timer.cancel()
+            else:
+                model["anchor"], model["due"] = sim.now, None
+                timer.reanchor()
+                chains.append([sim.now])
+                sim.schedule(interval, reference, (len(chains) - 1,))
+
+        at = sim.now
+        for gap, kind, lead in ops:
+            at += gap * interval
+            sim.schedule_at(at, op, (kind, lead))
+        sim.run(until=at + 10.0 * interval)
+
+        def expected(epoch, after, due):
+            return next(t for t in chains[epoch] if t > after and t >= due)
+
+        for time, epoch, after, due in fired:
+            assert time == expected(epoch, after, due)  # bit-equal, and the first
+        if model["due"] is not None:
+            assert timer.armed
+            assert timer.event.time == expected(len(chains) - 1, model["anchor"], model["due"])
+        else:
+            assert not timer.armed
+
+    def test_a_later_arm_keeps_the_queued_tick(self):
+        sim = Simulator()
+        ticks = []
+        timer = GridTimer(sim, 10.0, lambda: ticks.append(sim.now), "grid")
+        timer.arm(25.0)
+        first = timer.event
+        timer.arm(28.0)  # the same grid point: the queued event stays
+        timer.arm(35.0)  # a later one: still the 30 s tick
+        assert timer.event is first and first.time == 30.0
+        timer.arm(5.0)  # earlier: re-queued at 10 s
+        assert timer.event.time == 10.0 and first.cancelled
+        sim.run()
+        assert ticks == [10.0] and not timer.armed and timer.anchor == 10.0
 
 
 class TestRng:
