@@ -236,7 +236,9 @@ class Replicator:
 
     def _on_packet(self, packet: Packet) -> None:
         ack = packet.payload
-        if not isinstance(ack, _SyncAck):
+        if not isinstance(ack, _SyncAck) or not self.running:
+            # A dead daemon hears no ack: its in-flight batch waits for
+            # the restart and goes out again through the retry path.
             return
         if self._in_flight is not None and ack.seq == self._in_flight.seq:
             self.updates_synced += len(self._in_flight.updates)
@@ -265,8 +267,10 @@ class Replicator:
             self._pump()
 
     def flush_now(self) -> None:
-        """Kick the pump outside the periodic schedule (tests, shutdown)."""
-        self._pump()
+        """Kick the pump outside the periodic schedule (tests, shutdown);
+        a crashed daemon sends nothing."""
+        if self.running:
+            self._pump()
 
     # -- fault injection -----------------------------------------------------------
 
@@ -276,7 +280,8 @@ class Replicator:
         The backlog, sequence counter and in-flight batch survive — they
         model the on-disk store-and-forward log, which is the whole point
         of the fog tier's disconnection tolerance (E9).  Only the daemon
-        process dies; captures keep accumulating via the context hook.
+        process dies; captures keep accumulating via the context hook,
+        and nothing is sent or acked until :meth:`restart`.
         """
         self.running = False
         self._timer.cancel()

@@ -268,6 +268,32 @@ class TestReplicatorCrashRestart:
         assert rig.cloud_context.has_entity("e1")
         assert rig.replicator.backlog_depth == 0
 
+    def test_crashed_replicator_stops_draining(self):
+        """A crash right after the first of three batches is sent: the
+        dead daemon ignores that batch's ack and sends nothing more, even
+        when flushed.  After the restart the retained batch goes out
+        again (the cloud counts one duplicate) and the backlog drains."""
+        rig = ReplicationRig(batch_size=5)
+        for i in range(15):
+            rig.update(f"e{i}", v=i)
+        rig.sim.run(until=10.0)  # the 10 s tick sends batch 1
+        assert rig.replicator.batches_sent == 1
+        rig.replicator.crash()
+        rig.sim.run(until=60.0)
+        rig.replicator.flush_now()
+        rig.sim.run(until=100.0)
+        assert rig.replicator.batches_sent == 1
+        assert rig.replicator.batches_acked == 0
+        assert rig.replicator.updates_synced == 0
+        assert rig.target.batches_applied == 1  # the cloud got batch 1
+        assert rig.replicator.backlog_depth == 15
+        rig.replicator.restart()
+        rig.sim.run(until=200.0)
+        assert rig.replicator.updates_synced == 15
+        assert rig.replicator.backlog_depth == 0
+        assert rig.cloud_context.entity_count() == 15
+        assert rig.target.batches_duplicate == 1
+
     def test_crash_and_restart_are_idempotent(self):
         rig = ReplicationRig()
         rig.update("e1", v=1)  # a backlog, so a restart arms the pump
