@@ -23,7 +23,7 @@ place.
 from repro.simkernel.clock import SimClock
 from repro.simkernel.errors import ReproError, SimulationError, StopSimulation
 from repro.simkernel.events import Event, EventQueue
-from repro.simkernel.process import GridTimer, Process, ProcessState
+from repro.simkernel.process import Process, ProcessState
 from repro.simkernel.rng import RngRegistry, SeededStream
 from repro.simkernel.simulator import Simulator
 from repro.simkernel.snapshot import (
@@ -36,7 +36,6 @@ from repro.simkernel.trace import TraceLog, TraceRecord
 __all__ = [
     "Event",
     "EventQueue",
-    "GridTimer",
     "KernelSnapshot",
     "Process",
     "ProcessState",
