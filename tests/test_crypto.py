@@ -81,6 +81,13 @@ class TestDh:
         a, b = streams()
         assert len(DhKeyPair(a).shared_with(DhKeyPair(b).public)) == 256
 
+    def test_public_key_known_answer(self):
+        """One seeded public key, pinned from ``pow(GENERATOR, x, MODP_PRIME)``."""
+        key = DhKeyPair(RngRegistry(7).stream("a"))
+        assert hashlib.sha256(key.public.to_bytes(256, "big")).hexdigest() == (
+            "3496ca2de4dfb67d99848ba6e09b667c62c77f12619f553f83d790970b0039c1"
+        )
+
 
 class TestAead:
     KEYS = (b"e" * 32, b"m" * 32)
@@ -401,3 +408,34 @@ class TestEndToEndMqttEncryption:
         wire_frames = [t for t in tapped if isinstance(t, bytes)]
         assert wire_frames, "tap should have seen the publish wire bytes"
         assert all(b"4.2" not in frame for frame in wire_frames)
+
+
+class TestEnrolledChannels:
+    def test_matopiba_device_channels_seal_the_pinned_frame(self):
+        """Every key a secured pilot derives, pinned through one sealed frame.
+
+        Each of the 41 devices of the secured MATOPIBA pilot seals the same
+        frame on its fresh channel, in device-id order; the platform side
+        opens each one.  The digest was taken with every public key from
+        ``pow(GENERATOR, x, MODP_PRIME)``.
+        """
+        from repro.core.pilots import build_matopiba_pilot
+        from repro.core.security_profile import SecurityConfig
+
+        runner = build_matopiba_pilot(
+            seed=42, security=SecurityConfig(auth=True, encryption=True))
+        devices = [
+            runner.pump, runner.flow_meter, runner.weather_station, runner.pivot,
+            runner.drone, *runner.probes.values(), *runner.valves.values(),
+        ]
+        frame = b'{"soilMoisture": 0.25}'
+        digest = hashlib.sha256()
+        for device in sorted(devices, key=lambda d: d.config.device_id):
+            topic = f"swamp/matopiba/attrs/{device.config.device_id}"
+            _, wire = device.client.payload_encoder(topic, frame)
+            assert runner.security.channels.decoder(topic, wire) == frame
+            digest.update(wire)
+        assert len(devices) == 41
+        assert digest.hexdigest() == (
+            "a636382a93375a136f93b6c77cb2baeb114aa9e695e6ea1ea4bbf835bedeec22"
+        )
