@@ -130,7 +130,10 @@ class SecureChannelPair:
         key_b = DhKeyPair(rng_b)
         secret_a = key_a.shared_with(key_b.public)
         secret_b = key_b.shared_with(key_a.public)
-        assert secret_a == secret_b
+        # Checks each side's public key (the generator's comb) through the
+        # peer's ``pow``, and holds under ``python -O`` too.
+        if secret_a != secret_b:
+            raise RuntimeError(f"DH key agreement failed for channel {context!r}")
         material = hkdf(secret_a, 4 * 32, salt=b"swamp-channel", info=context)
         a_to_b = (material[0:32], material[32:64])
         b_to_a = (material[64:96], material[96:128])

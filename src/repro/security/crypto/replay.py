@@ -25,7 +25,12 @@ class ReplayWindow:
             return False
         if seq > self._max_seen:
             shift = seq - self._max_seen
-            self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.window_size) - 1)
+            # A jump of a whole window or more leaves only ``seq`` in it;
+            # shifting by the jump would cost time and memory in its size.
+            if shift >= self.window_size:
+                self._bitmap = 1
+            else:
+                self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.window_size) - 1)
             self._max_seen = seq
             self.accepted += 1
             return True

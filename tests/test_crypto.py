@@ -4,7 +4,7 @@ import hashlib
 import hmac
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.security.crypto import (
@@ -19,6 +19,7 @@ from repro.security.crypto import (
     seal_payload,
     shared_secret,
 )
+from repro.security.crypto import dh
 from repro.security.crypto.aead import AeadKey, HmacKey
 from repro.simkernel.rng import RngRegistry
 
@@ -80,6 +81,32 @@ class TestDh:
     def test_secret_fixed_width(self):
         a, b = streams()
         assert len(DhKeyPair(a).shared_with(DhKeyPair(b).public)) == 256
+
+    @given(st.integers(min_value=0, max_value=2**256 - 1))
+    @example(0)
+    @example(1)
+    @example(2**255)
+    @example(2**256 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_generator_comb_equals_pow(self, exponent):
+        assert dh.generator_power(exponent) == pow(dh.GENERATOR, exponent, MODP_PRIME)
+
+    def test_every_comb_entry_equals_pow(self):
+        """Exponent ``sum(2**(32*r) for each set bit r of i)`` reads entry ``i`` alone."""
+        for entry in range(256):
+            exponent = sum(1 << (32 * row) for row in range(8) if entry >> row & 1)
+            assert dh.generator_power(exponent) == pow(dh.GENERATOR, exponent, MODP_PRIME), entry
+
+    @pytest.mark.parametrize("exponent", [-1, 2**256, 2**300 + 5])
+    def test_exponent_outside_the_comb_goes_to_pow(self, exponent):
+        assert dh.generator_power(exponent) == pow(dh.GENERATOR, exponent, MODP_PRIME)
+
+    def test_wrong_public_key_fails_the_pair(self, monkeypatch):
+        real = dh.generator_power
+        monkeypatch.setattr(dh, "generator_power", lambda x: real(x) * 3 % MODP_PRIME)
+        a, b = streams()
+        with pytest.raises(RuntimeError, match="probe-07"):
+            SecureChannelPair(a, b, context=b"probe-07")
 
     def test_public_key_known_answer(self):
         """One seeded public key, pinned from ``pow(GENERATOR, x, MODP_PRIME)``."""
@@ -313,6 +340,27 @@ class TestReplayWindow:
         assert len(accepted) == len(set(accepted))
 
 
+    @given(
+        st.integers(min_value=1, max_value=70),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                           st.integers(min_value=-80, max_value=80)),
+                 min_size=1, max_size=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_verdicts_equal_a_set_reference(self, window_size, anchors, picks):
+        """Any 8-byte sequence numbers, duplicates and near-duplicates included."""
+        window = ReplayWindow(window_size)
+        seen, highest = set(), -1
+        for which, delta in picks:
+            seq = min(max(anchors[which % len(anchors)] + delta, 0), 2**64 - 1)
+            fresh = seq > highest or (highest - seq < window_size and seq not in seen)
+            assert window.check_and_update(seq) == fresh, seq
+            if fresh:
+                seen.add(seq)
+                highest = max(highest, seq)
+
+
 class TestSecureChannel:
     def make_pair(self, seed=0):
         a, b = streams(seed)
@@ -328,6 +376,16 @@ class TestSecureChannel:
         wire = pair.endpoint_a.seal(b"cmd:open-valve", b"t")
         assert pair.endpoint_b.open(wire, b"t") == b"cmd:open-valve"
         assert pair.endpoint_b.open(wire, b"t") is None
+        assert pair.endpoint_b.stats.replays_rejected == 1
+
+    def test_forward_jump_is_accepted_and_older_frames_refused(self):
+        pair = self.make_pair()
+        assert pair.endpoint_b.open(pair.endpoint_a.seal(b"first", b"t"), b"t") == b"first"
+        pair.endpoint_a._send_seq = 2**62
+        wire = pair.endpoint_a.seal(b"jump", b"t")
+        assert pair.endpoint_b.open(wire, b"t") == b"jump"
+        pair.endpoint_a._send_seq = 5
+        assert pair.endpoint_b.open(pair.endpoint_a.seal(b"old", b"t"), b"t") is None
         assert pair.endpoint_b.stats.replays_rejected == 1
 
     def test_cross_channel_isolation(self):
