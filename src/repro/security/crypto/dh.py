@@ -34,12 +34,16 @@ _COMB_WIDTH = 32
 
 @functools.lru_cache(maxsize=1)
 def _comb_table() -> Tuple[int, ...]:
-    """Entry ``i``: the product of ``GENERATOR ** 2**(32*r)`` over the set bits ``r`` of ``i``."""
+    """Entry ``i`` is the product of ``GENERATOR ** 2**(32*r)`` over the set bits ``r`` of ``i``.
+
+    Built on first use, once per process, from 255 products and 256 squarings.
+    """
     table = [1]
     base = GENERATOR
     for _ in range(_COMB_ROWS):
         table += [entry * base % MODP_PRIME for entry in table]
-        base = pow(base, 1 << _COMB_WIDTH, MODP_PRIME)
+        for _ in range(_COMB_WIDTH):
+            base = base * base % MODP_PRIME
     return tuple(table)
 
 
