@@ -52,7 +52,7 @@ RECOVERY_GATE_S = 1.0
 MATRIX_HEADERS = ("kill_at", "surviving_b", "committed", "recovered",
                   "lost", "prefix_ok", "recovery_ms")
 DELIVERY_HEADERS = ("pipeline", "accepted", "delivered", "dead",
-                    "success_rate", "attempts", "deferrals")
+                    "success_rate", "attempts", "deferrals", "events")
 
 
 def _history_rig(root, seed=SEED):
@@ -145,6 +145,7 @@ def run_delivery(with_breaker, notifications=120, seed=SEED):
         "audit": audit,
         "attempts": attempts,
         "success_rate": audit["delivered"] / max(1, audit["accepted"]),
+        "events": sim.events_executed,
     }
 
 
@@ -152,7 +153,7 @@ def delivery_rows(results):
     return [
         (r["pipeline"], r["audit"]["accepted"], r["audit"]["delivered"],
          r["audit"]["dead"], r["success_rate"], r["attempts"],
-         r["audit"]["breaker_deferrals"])
+         r["audit"]["breaker_deferrals"], r["events"])
         for r in results
     ]
 
@@ -227,7 +228,8 @@ def main(argv=None) -> int:
           f"lost_committed={lost}  worst recovery {worst_ms:.2f}ms")
     for row in delivery_rows([guarded, unguarded]):
         print("  {:<10} accepted {:>4}  delivered {:>4}  dead {:>3}  "
-              "success {:>6.1%}  attempts {:>5}  deferrals {:>5}".format(*row))
+              "success {:>6.1%}  attempts {:>5}  deferrals {:>5}  "
+              "events {:>5}".format(*row))
     print(f"wall: {wall:.2f}s")
 
     if args.smoke:
