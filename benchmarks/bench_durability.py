@@ -123,7 +123,6 @@ def run_delivery(with_breaker, notifications=120, seed=SEED):
     manager = DeliveryManager(sim, config)
     endpoint = manager.register_endpoint(
         SimulatedEndpoint("hook", fail_rate=0.05))
-    manager.start()
     broker.create_entity(EID, "AgriParcel", {ATTR: 0.2})
     sub = Subscription(callback=lambda _n: None, entity_id=EID)
     manager.bind_subscription(sub, "dash", "hook")

@@ -13,9 +13,13 @@ The pipeline, per accepted notification:
   enqueues onto the owning tenant's :class:`BoundedQueue` (``REJECT``
   policy: a full queue refuses *admission*, loudly — only accepted
   notifications participate in the delivery guarantee).
-* A sim-time pump drains due items oldest-first.  Each attempt consults
-  the endpoint's :class:`CircuitBreaker`; an open circuit defers the
-  item without burning an attempt.
+* A pump drains due items oldest-first: a :class:`GridTimer` on the
+  ``pump_interval_s`` grid from the manager's construction, queued only
+  while an item is.  ``accept`` and ``replay`` arm it at the first grid
+  point strictly after now; a tick re-arms it at the first grid point
+  at or after the earliest queued ``next_attempt_at``.  Each attempt
+  consults the endpoint's :class:`CircuitBreaker`; an open circuit
+  defers the item without burning an attempt.
 * An attempt ends ``ok``, ``error`` or ``timeout``.  Timeouts are
   *ambiguous* — the endpoint may have processed the notification before
   the deadline (``timeout_delivers``), so the retry that follows can
@@ -37,6 +41,7 @@ default runs schedule no pump, draw from no new streams, and remain
 bit-identical.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -44,6 +49,7 @@ from repro.context.errors import ContextError
 from repro.context.subscriptions import Notification, Subscription
 from repro.resilience.backpressure import BoundedQueue, DropPolicy
 from repro.resilience.breaker import CircuitBreaker
+from repro.simkernel.process import GridTimer
 
 __all__ = [
     "DeliveryConfig",
@@ -202,7 +208,8 @@ class DeliveryManager:
         # subscription_id -> (tenant, endpoint) for status surfacing.
         self._subs: Dict[str, Tuple[str, str]] = {}
         self._seq = 0
-        self._pump = None
+        self._timer = GridTimer(
+            sim, self.config.pump_interval_s, self._pump, "proc:delivery-pump")
         self.accepted = 0
         self.delivered = 0
         self.duplicates = 0
@@ -309,44 +316,34 @@ class DeliveryManager:
         self._seq += 1
         self._items.append(item)
         self.accepted += 1
+        self._timer.arm(math.nextafter(now, math.inf))
         return item
 
     # -- the pump ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the drain pump (idempotent)."""
-        if self._pump is None:
-            self._pump = self.sim.spawn(self._pump_loop(), name="delivery-pump")
-
-    def _pump_loop(self):
-        while True:
-            yield self.config.pump_interval_s
-            self.pump_now()
-
-    def pump_now(self) -> int:
-        """Attempt every due item once; returns deliveries made."""
+    def _pump(self) -> None:
+        """Attempt every due item once, then sleep until the next is due."""
         now = self.sim.clock.now
-        made = 0
+        due = math.inf
         for tenant in sorted(self._queues):
             queue, dlq = self._queues[tenant], self._dlqs[tenant]
             for item in queue.drain():
-                if item.next_attempt_at > now:
-                    queue.push(item)
-                    continue
-                outcome = self._attempt(item, now)
-                if outcome == "delivered":
-                    made += 1
-                elif outcome == "dead":
-                    if not dlq.push(item):
+                if item.next_attempt_at <= now:
+                    outcome = self._attempt(item, now)
+                    if outcome == "delivered":
+                        continue
+                    if outcome == "dead":
+                        if dlq.push(item):
+                            continue
                         # A full DLQ still cannot lose the item silently:
                         # it stays pending and retries after a full
                         # backoff window.
                         item.status = "pending"
                         item.next_attempt_at = now + self.config.backoff_cap_s
-                        queue.push(item)
-                else:
-                    queue.push(item)
-        return made
+                queue.push(item)
+                due = min(due, item.next_attempt_at)
+        if due < math.inf:
+            self._timer.arm(due)
 
     def _attempt(self, item: DeliveryItem, now: float) -> str:
         breaker = self._breakers[item.endpoint]
@@ -405,6 +402,8 @@ class DeliveryManager:
         for item in kept:
             dlq.push(item)
         self.replayed += moved
+        if moved:
+            self._timer.arm(math.nextafter(now, math.inf))
         return moved
 
     # -- status / audit ----------------------------------------------------

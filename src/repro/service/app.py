@@ -343,12 +343,12 @@ class NgsiService:
         """Stand up the at-least-once notification fan-out (idempotent).
 
         Until this is called the subscription routes refuse with 400 and
-        nothing delivery-related is constructed — no pump process, no RNG
-        streams — so runs that never opt in stay bit-identical.
+        nothing delivery-related is constructed — no pump timer, no RNG
+        streams — so runs that never opt in stay bit-identical.  The
+        pump ticks only while a notification is queued.
         """
         if self.delivery is None:
             self.delivery = DeliveryManager(self.sim, config)
-            self.delivery.start()
         for endpoint in endpoints:
             self.delivery.register_endpoint(endpoint)
         return self.delivery

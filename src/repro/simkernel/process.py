@@ -8,7 +8,7 @@ failure clocks, irrigation controllers, attacker scripts.  Purely
 reactive components (brokers, links) use plain event callbacks instead,
 which are cheaper.  A daemon that works on a fixed schedule but sleeps
 while it has nothing to do (the broker's session sweep, the fog sync
-pump, the service pump) uses a :class:`GridTimer`.
+pump, the service pump, the delivery pump) uses a :class:`GridTimer`.
 """
 
 import enum

@@ -30,7 +30,6 @@ def make_pipeline(config=None, **endpoint_kwargs):
         sim, config or DeliveryConfig(pump_interval_s=0.5, timeout_s=1.0))
     endpoint = manager.register_endpoint(
         SimulatedEndpoint("hook", **endpoint_kwargs))
-    manager.start()
     broker.create_entity(EID, "AgriParcel", {"soilMoisture": 0.2})
     sub = Subscription(callback=lambda _n: None, entity_id=EID)
     manager.bind_subscription(sub, "dash", "hook")

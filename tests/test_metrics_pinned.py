@@ -140,7 +140,6 @@ def delivery_rig(_workdir):
         max_attempts=3))
     endpoint = manager.register_endpoint(SimulatedEndpoint(
         "hook", fail_rate=0.1, timeout_rate=0.2, timeout_delivers=True))
-    manager.start()
     injector = FaultInjector(sim)
     injector.register_endpoint("hook", endpoint)
     injector.apply(FaultPlan("outage", [
