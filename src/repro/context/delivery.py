@@ -32,8 +32,9 @@ The pipeline, per accepted notification:
   :meth:`DeliveryManager.replay` re-admits dead items for redelivery.
 
 Every terminal state is accounted: the chaos audit asserts
-``accepted == delivered + dead + pending + replayed-in-flight`` — an
-accepted notification may wait or die loudly, but it cannot vanish.
+``accepted == delivered + dead + pending``, with every pending item in a
+tenant queue and every dead one in a DLQ — an accepted notification may
+wait or die loudly, but it cannot vanish.
 
 Nothing here is constructed unless a caller builds a manager (the
 service layer's ``enable_delivery`` / ``--store``-style opt-in), so
@@ -381,7 +382,11 @@ class DeliveryManager:
     # -- dead letters ------------------------------------------------------
 
     def replay(self, tenant: str, subscription_id: Optional[str] = None) -> int:
-        """Re-admit dead-lettered items for delivery; returns the count."""
+        """Re-admit dead-lettered items for delivery; returns the count.
+
+        An item the tenant queue has no room for stays in the DLQ as it
+        was, for a later replay.
+        """
         dlq = self._dlqs.get(tenant)
         if dlq is None:
             return 0
@@ -390,14 +395,15 @@ class DeliveryManager:
         moved = 0
         now = self.sim.clock.now
         for item in dlq.drain():
-            if subscription_id is not None and item.subscription_id != subscription_id:
+            if (subscription_id is not None and item.subscription_id != subscription_id
+                    or not queue.push(item)):
+                # Not selected, or refused by a full queue: it stays dead.
                 kept.append(item)
                 continue
             item.status = "pending"
             item.attempts = 0
             item.replays += 1
             item.next_attempt_at = now
-            queue.push(item)
             moved += 1
         for item in kept:
             dlq.push(item)
@@ -428,11 +434,16 @@ class DeliveryManager:
 
         ``conserved`` is the invariant the chaos harness asserts — an
         accepted notification never disappears from the accounting, under
-        any combination of endpoint outage, breaker state and replay.
+        any combination of endpoint outage, breaker state and replay.  It
+        also holds the statuses to the queues: as many items are pending
+        as the tenant queues hold and as many are dead as the DLQs hold,
+        so an item that fell out of every queue is not conserved.
         """
         delivered = sum(1 for i in self._items if i.status == "delivered")
         dead = sum(1 for i in self._items if i.status == "dead")
         pending = sum(1 for i in self._items if i.status == "pending")
+        queued = sum(len(queue) for queue in self._queues.values())
+        dead_letters = sum(len(dlq) for dlq in self._dlqs.values())
         return {
             "accepted": self.accepted,
             "delivered": delivered,
@@ -443,7 +454,8 @@ class DeliveryManager:
             "retries": self.retries,
             "breaker_deferrals": self.breaker_deferrals,
             "replayed": self.replayed,
-            "conserved": delivered + dead + pending == self.accepted,
+            "conserved": (delivered + dead + pending == self.accepted
+                          and pending == queued and dead == dead_letters),
         }
 
     def report(self) -> Dict[str, object]:

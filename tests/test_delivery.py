@@ -1,7 +1,11 @@
 """At-least-once notification delivery: queues, retries, breaker, DLQ,
 and the service layer's subscription management routes."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.context.broker import ContextBroker
 from repro.context.delivery import (
@@ -11,8 +15,9 @@ from repro.context.delivery import (
     SimulatedEndpoint,
 )
 from repro.context.history import ShortTermHistory
-from repro.context.subscriptions import Subscription
+from repro.context.subscriptions import Notification, Subscription
 from repro.core.security_profile import SecurityConfig, SecurityStack
+from repro.faults.chaos import check_storage_invariants
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.resilience import BreakerState
@@ -23,11 +28,34 @@ EID = "urn:AgriParcel:demo:0-0"
 FARM = "urn:AgriParcel:demo:"
 
 
-def make_pipeline(config=None, **endpoint_kwargs):
+class _Unarmed:
+    """Stands in for the pump's timer while a process polls the pump."""
+
+    def arm(self, _t):
+        pass
+
+
+def polling(manager):
+    """Run ``manager``'s pump pass every interval from now, whether or not
+    anything is due: the polling pump the sleeping one must match."""
+    assert not manager._timer.armed
+    manager._timer = _Unarmed()
+
+    def poll():
+        while True:
+            yield manager.config.pump_interval_s
+            manager._pump()
+
+    manager.sim.spawn(poll(), name="delivery-pump")
+
+
+def make_pipeline(config=None, polled=False, **endpoint_kwargs):
     sim = Simulator(seed=7)
     broker = ContextBroker(sim)
     manager = DeliveryManager(
         sim, config or DeliveryConfig(pump_interval_s=0.5, timeout_s=1.0))
+    if polled:
+        polling(manager)
     endpoint = manager.register_endpoint(
         SimulatedEndpoint("hook", **endpoint_kwargs))
     broker.create_entity(EID, "AgriParcel", {"soilMoisture": 0.2})
@@ -130,6 +158,49 @@ class TestDeadLetterQueue:
         sub_id = manager._items[0].subscription_id
         assert manager.replay("dash", subscription_id=sub_id) == 4
 
+    def test_replay_into_a_full_queue_leaves_the_refused_items_dead(self):
+        config = DeliveryConfig(queue_capacity=2, max_attempts=2,
+                                pump_interval_s=0.5, timeout_s=1.0)
+        sim, broker, manager, endpoint = make_pipeline(config=config, fail_rate=1.0)
+        publish(sim, broker, 2)
+        sim.run_until(sim.now + 100.0)
+        dead = manager._items[:2]
+        assert [i.status for i in dead] == ["dead", "dead"]
+        publish(sim, broker, 2, dt=0.0)  # the tenant queue is now full
+        assert manager.replay("dash") == 0
+        assert [(i.status, i.attempts, i.replays) for i in dead] == [("dead", 2, 0)] * 2
+        audit = manager.audit()
+        assert audit["dead"] == 2 and audit["pending"] == 2 and audit["replayed"] == 0
+        assert audit["conserved"]
+        endpoint.fail_rate = 0.0
+        sim.run_until(sim.now + 100.0)
+        assert len(manager._queues["dash"]) == 0
+        # Once the queue has drained, a second replay delivers them.
+        assert manager.replay("dash") == 2
+        sim.run_until(sim.now + 100.0)
+        audit = manager.audit()
+        assert audit["delivered"] == 4 and audit["replayed"] == 2
+        assert audit["conserved"]
+        assert [(i.status, i.replays) for i in dead] == [("delivered", 1)] * 2
+
+    @pytest.mark.parametrize("held_in", ["queue", "dlq"])
+    def test_an_item_missing_from_its_queue_is_not_conserved(self, held_in):
+        config = DeliveryConfig(max_attempts=1, pump_interval_s=0.5, timeout_s=1.0)
+        sim, broker, manager, endpoint = make_pipeline(config=config, fail_rate=1.0)
+        publish(sim, broker, 2)  # both attempted once: dead
+        endpoint.fail_rate = 0.0
+        publish(sim, broker, 1, dt=0.0)  # pending
+        audit = manager.audit()
+        assert (audit["dead"], audit["pending"]) == (2, 1) and audit["conserved"]
+        queues = manager._queues if held_in == "queue" else manager._dlqs
+        queues["dash"].drain()  # behind the manager's back
+        audit = manager.audit()
+        assert (audit["dead"], audit["pending"]) == (2, 1)
+        assert not audit["conserved"]
+        runner = SimpleNamespace(service=SimpleNamespace(delivery=manager))
+        [result] = check_storage_invariants(runner)
+        assert result.name == "accepted notifications conserved" and not result.ok
+
 
 class TestBreakerGating:
     def test_open_breaker_defers_without_burning_attempts(self):
@@ -165,6 +236,134 @@ class TestBreakerGating:
         assert audit["delivered"] >= 30  # pre-outage and healed traffic land
 
 
+TENANTS = ("alpha", "beta")
+ENDPOINTS = ("hook-a", "hook-b")
+
+
+def grid_point(now, interval, steps):
+    """The ``steps``-th point after the first grid point past ``now``, on
+    the pump's grid from 0 (each point the float sum of the one before
+    and the interval, as the pump's ticks are)."""
+    at = interval
+    while at <= now:
+        at += interval
+    for _ in range(steps):
+        at += interval
+    return at
+
+
+def drive(config, endpoint_specs, ops, polled):
+    """Run ``ops`` against a fresh manager; return what a reader sees."""
+    sim = Simulator(seed=5)
+    manager = DeliveryManager(sim, config)
+    if polled:
+        polling(manager)
+    endpoints = [manager.register_endpoint(SimulatedEndpoint(name, *spec))
+                 for name, spec in zip(ENDPOINTS, endpoint_specs)]
+    returned = []
+
+    def accept(tenant, endpoint):
+        item = manager.accept(TENANTS[tenant], f"sub-{tenant}", ENDPOINTS[endpoint],
+                              Notification(f"sub-{tenant}", None, [], sim.now))
+        returned.append(None if item is None else item.seq)
+
+    interval = config.pump_interval_s
+    for op in ops:
+        kind = op[0]
+        if kind == "accept":
+            accept(*op[1:])
+        elif kind == "run":  # to a grid point, or a fraction past one
+            _, steps, fraction = op
+            sim.run_until(grid_point(sim.now, interval, steps) + fraction * interval)
+        elif kind == "event":  # an accept inside an event between grid points
+            _, steps, fraction, tenant, endpoint = op
+            sim.schedule_at(grid_point(sim.now, interval, steps) + fraction * interval,
+                            accept, (tenant, endpoint))
+        elif kind == "outage":
+            endpoints[op[1]].down = not endpoints[op[1]].down
+        else:
+            returned.append(manager.replay(TENANTS[op[1]]))
+    sim.run_until(sim.now + 120.0)
+    returned.extend(manager.replay(tenant) for tenant in TENANTS)
+    sim.run_until(sim.now + 120.0)
+    items = [(i.seq, i.status, i.attempts, i.next_attempt_at, i.duplicate, i.replays)
+             for i in manager._items]
+    return returned, [e.log for e in endpoints], manager.report(), items
+
+
+off_grid = st.floats(0.05, 0.95)
+accept_op = st.tuples(st.just("accept"), st.integers(0, 1), st.integers(0, 1))
+run_op = st.tuples(st.just("run"), st.integers(0, 6), st.one_of(st.just(0.0), off_grid))
+delivery_ops = st.lists(st.one_of(
+    accept_op, accept_op, run_op, run_op,
+    st.tuples(st.just("event"), st.integers(0, 3), off_grid,
+              st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.just("outage"), st.integers(0, 1)),
+    st.tuples(st.just("replay"), st.integers(0, 1)),
+), min_size=5, max_size=40)
+endpoint_spec = st.tuples(st.floats(0.0, 0.7), st.floats(0.0, 0.3), st.booleans())
+
+
+class TestSleepingPump:
+    """The pump sleeps on a ``GridTimer`` until an item is due and makes
+    the attempts a pump polling every interval makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        queue_capacity=st.integers(1, 4),
+        dlq_capacity=st.integers(1, 3),
+        pump_interval_s=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
+        max_attempts=st.integers(1, 4),
+        backoff_base_s=st.floats(0.2, 4.0),
+        # A whole number of intervals puts a full DLQ's retry on the grid.
+        backoff_cap_s=st.one_of(st.floats(0.5, 20.0), st.sampled_from([2.0, 6.0])),
+        breaker=st.one_of(st.none(), st.tuples(st.integers(1, 3), st.floats(1.0, 15.0))),
+        endpoint_specs=st.tuples(endpoint_spec, endpoint_spec),
+        ops=delivery_ops,
+    )
+    def test_attempts_equal_a_polling_pump(
+        self, queue_capacity, dlq_capacity, pump_interval_s, max_attempts,
+        backoff_base_s, backoff_cap_s, breaker, endpoint_specs, ops,
+    ):
+        threshold, open_timeout_s = breaker if breaker else (10**9, 30.0)
+        config = DeliveryConfig(
+            queue_capacity=queue_capacity, dlq_capacity=dlq_capacity,
+            pump_interval_s=pump_interval_s, max_attempts=max_attempts,
+            backoff_base_s=backoff_base_s, backoff_cap_s=backoff_cap_s,
+            breaker_failure_threshold=threshold, breaker_open_timeout_s=open_timeout_s)
+        sleeping = drive(config, endpoint_specs, ops, polled=False)
+        assert sleeping == drive(config, endpoint_specs, ops, polled=True)
+        assert sleeping[2]["conserved"]
+
+    def test_an_idle_day_executes_no_event(self):
+        """The polling pump ticked 86,400 times in this day."""
+        service, _token, _endpoint = make_service(DeliveryConfig())
+        sim = service.sim
+        sim.run_until(86400.0)
+        assert sim.events_executed == 0
+        assert len(sim.queue) == 0
+
+    @pytest.mark.parametrize("polled, ahead_s, attempted_at", [
+        (False, 5.0, 11.0),
+        (True, 5.0, 10.0),
+        (False, 0.5, 11.0),
+        (True, 0.5, 11.0),
+    ])
+    def test_an_update_queued_for_a_grid_point(self, polled, ahead_s, attempted_at):
+        """An update made at a grid point by an event queued more than an
+        interval earlier ran before that point's poll, so the polling pump
+        attempted it there; the sleeping pump, armed by the accept, first
+        ticks one interval later.  Queued less than an interval ahead, the
+        update ran after the poll, and both pumps attempt it one interval
+        later."""
+        sim, broker, manager, endpoint = make_pipeline(
+            DeliveryConfig(pump_interval_s=1.0), polled=polled)
+        sim.run_until(10.0 - ahead_s)
+        sim.schedule_at(10.0, broker.update_attributes, (EID, {"soilMoisture": 0.3}))
+        sim.run_until(20.0)
+        assert endpoint.log == [(attempted_at, 0, "delivered")]
+
+
 class TestConfigAndRegistration:
     def test_config_validation_rejects_nonpositive_knobs(self):
         with pytest.raises(DeliveryError, match="max_attempts"):
@@ -180,7 +379,7 @@ class TestConfigAndRegistration:
             manager.endpoint("nope")
 
 
-def make_service():
+def make_service(delivery_config=None):
     from repro.telemetry.metrics import MetricsRegistry
 
     sim = Simulator(seed=11, metrics=MetricsRegistry())
@@ -190,7 +389,7 @@ def make_service():
     service = NgsiService(sim, broker, history, security, ServiceConfig())
     endpoint = SimulatedEndpoint("dash-hook", fail_rate=0.1)
     service.enable_delivery(
-        DeliveryConfig(pump_interval_s=0.5, timeout_s=1.0),
+        delivery_config or DeliveryConfig(pump_interval_s=0.5, timeout_s=1.0),
         endpoints=(endpoint,))
     service.register_tenant(TenantSpec("dash", "s1", read_prefixes=(FARM,)))
     broker.create_entity(EID, "AgriParcel", {"soilMoisture": 0.2})
