@@ -348,7 +348,8 @@ class TestSleepingPump:
         (True, 5.0, 10.0),
         (False, 0.5, 11.0),
         (True, 0.5, 11.0),
-    ])
+    ], ids=["sleeping-5s-ahead", "polling-5s-ahead", "sleeping-0.5s-ahead",
+            "polling-0.5s-ahead"])
     def test_an_update_queued_for_a_grid_point(self, polled, ahead_s, attempted_at):
         """An update made at a grid point by an event queued more than an
         interval earlier ran before that point's poll, so the polling pump
